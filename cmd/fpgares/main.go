@@ -61,8 +61,8 @@ func main() {
 			continue
 		}
 		b, d, f, l := u.Percent(fpga.XC7Z020)
-		core := fpga.NewCore(*inputs, n, 1, fpga.DefaultCycleModel())
-		p, s := core.PredictCycles(), core.SeqTrainCycles()
+		kc := fpga.AnalyticKernelCosts(*inputs, n, 1, fpga.DefaultCycleModel())
+		p, s := kc[fpga.KernelPredict], kc[fpga.KernelSeqTrain]
 		fmt.Printf("%-6d %-10.2f %-10.2f %-10.2f %-10.2f %-12d %-12d %-10.0f\n",
 			n, b, d, f, l, p, s, clockHz/float64(s))
 	}
@@ -89,8 +89,8 @@ func main() {
 		if !u.Feasible {
 			continue
 		}
-		core := fpga.NewCore(*inputs, n, 1, fpga.DefaultCycleModel())
-		p, s := core.PredictCycles(), core.SeqTrainCycles()
+		kc := fpga.AnalyticKernelCosts(*inputs, n, 1, fpga.DefaultCycleModel())
+		p, s := kc[fpga.KernelPredict], kc[fpga.KernelSeqTrain]
 		fmt.Printf("  %4d units: predict %7d cycles (%.1f us)   seq_train %9d cycles (%.1f us)\n",
 			n, p, float64(p)/125.0, s, float64(s)/125.0)
 	}

@@ -91,8 +91,9 @@ func ExampleModel_SeqTrainOne() {
 // the cycles the paper's single-MAC design would spend.
 func ExampleCore() {
 	core := fpga.NewCore(5, 64, 1, fpga.DefaultCycleModel())
-	fmt.Println("seq_train cycles:", core.SeqTrainCycles())
-	fmt.Printf("at 125 MHz: %.1f us\n", float64(core.SeqTrainCycles())/125)
+	seq := core.KernelCosts()[fpga.KernelSeqTrain]
+	fmt.Println("seq_train cycles:", seq)
+	fmt.Printf("at 125 MHz: %.1f us\n", float64(seq)/125)
 	// Output:
 	// seq_train cycles: 17521
 	// at 125 MHz: 140.2 us
@@ -111,7 +112,7 @@ func ExampleNewAgentQ() {
 		}
 		core := agent.(*fpga.Agent).Core()
 		fmt.Printf("%s: resolution %.1e, max %.6g, seq_train cycles %d\n",
-			q, q.Resolution(), q.MaxValue(), core.SeqTrainCycles())
+			q, q.Resolution(), q.MaxValue(), core.KernelCosts()[fpga.KernelSeqTrain])
 	}
 	// Output:
 	// Q16: resolution 1.5e-05, max 32768, seq_train cycles 17521

@@ -28,10 +28,10 @@ func main() {
 	b, d, f, l := u.Percent(fpga.XC7Z020)
 	fmt.Printf("Resources: BRAM %.2f%%  DSP %.2f%%  FF %.2f%%  LUT %.2f%%\n\n", b, d, f, l)
 
-	core := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel())
+	kc := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel()).KernelCosts()
+	p, s := kc[fpga.KernelPredict], kc[fpga.KernelSeqTrain]
 	fmt.Printf("Cycle budget at 125 MHz: predict %d cycles (%.1f us), seq_train %d cycles (%.1f us)\n\n",
-		core.PredictCycles(), float64(core.PredictCycles())/125,
-		core.SeqTrainCycles(), float64(core.SeqTrainCycles())/125)
+		p, float64(p)/125, s, float64(s)/125)
 
 	cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, hidden)
 	cfg.Seed = 4

@@ -3,28 +3,27 @@ package fixed
 import "math"
 
 // Acct accumulates numeric-health counters for the fixed-point datapath
-// (any Qm.f format — the format-dependent ops take the format via the *Q
-// method variants; the plain methods are the Q20-default shorthand): how often
-// an operation hit the saturation rails, how many NaN inputs were coerced
-// to zero at conversion, and how much value was lost to rounding. A nil
-// *Acct is the fully disabled state — every method delegates straight to
-// the plain package function at the cost of one pointer comparison, no
-// allocation and no atomics — the same contract as obs.Tracer, pinned by
-// an AllocsPerRun test.
+// (any Qm.f format — Add and Sub are format-free, MulQ, DivQ and
+// FromFloatQ take the format): how often an operation hit the saturation
+// rails, how many NaN inputs were coerced to zero at conversion, and how
+// much value was lost to rounding. A nil *Acct is the fully disabled
+// state — every method returns the plain package result at the cost of
+// one pointer comparison, no allocation and no atomics — the same
+// contract as obs.Tracer, pinned by an AllocsPerRun test.
 //
 // An Acct is NOT synchronized: each consumer (one fpga.Core phase, one
 // conversion site) owns its own accumulator, and aggregation happens at
 // snapshot time. That keeps the per-op cost to a handful of integer adds.
 type Acct struct {
-	// Ops counts accounted operations (Add/Sub/Mul/Div/FromFloat calls).
+	// Ops counts accounted operations (Add/Sub/MulQ/DivQ/FromFloatQ calls).
 	Ops int64
 	// Saturations counts results clamped at the int32 rails, including
 	// division by zero (which saturates by convention).
 	Saturations int64
-	// NaNs counts NaN inputs coerced to zero by FromFloat.
+	// NaNs counts NaN inputs coerced to zero by FromFloatQ.
 	NaNs int64
 	// QuantErrAbs accumulates the absolute rounding error, in real value
-	// units, of every non-saturating Mul, Div and FromFloat. Saturating
+	// units, of every non-saturating MulQ, DivQ and FromFloatQ. Saturating
 	// results are excluded — their (unbounded) clamping loss is tracked by
 	// Saturations instead, keeping this series a pure quantization signal.
 	QuantErrAbs float64
@@ -66,46 +65,26 @@ func saturated(v int64) bool { return v > int64(Max) || v < int64(Min) }
 
 // Add is fixed.Add with accounting.
 func (a *Acct) Add(x, y Fixed) Fixed {
-	if a == nil {
-		return Add(x, y)
-	}
-	a.Ops++
 	v := int64(x) + int64(y)
-	if saturated(v) {
-		a.Saturations++
+	if a != nil {
+		a.Ops++
+		if saturated(v) {
+			a.Saturations++
+		}
 	}
 	return sat64(v)
 }
 
 // Sub is fixed.Sub with accounting.
 func (a *Acct) Sub(x, y Fixed) Fixed {
-	if a == nil {
-		return Sub(x, y)
-	}
-	a.Ops++
 	v := int64(x) - int64(y)
-	if saturated(v) {
-		a.Saturations++
+	if a != nil {
+		a.Ops++
+		if saturated(v) {
+			a.Saturations++
+		}
 	}
 	return sat64(v)
-}
-
-// Mul is fixed.Mul with accounting under the default Q20 format — the
-// same accounting MulQ does at Frac = 20, with the shifts constant (the
-// datapath's enabled-accounting ops stay one call deep).
-func (a *Acct) Mul(x, y Fixed) Fixed {
-	if a == nil {
-		return Mul(x, y)
-	}
-	a.Ops++
-	prod := int64(x) * int64(y)
-	rounded := (prod + 1<<(FracBits-1)) >> FracBits
-	if saturated(rounded) {
-		a.Saturations++
-		return sat64(rounded)
-	}
-	a.QuantErrAbs += math.Abs(float64(prod-(rounded<<FracBits))) * invPow2[2*FracBits]
-	return Fixed(rounded)
 }
 
 // MulQ is QFormat.Mul with accounting: saturation at the rails plus the
@@ -134,26 +113,6 @@ func (a *Acct) MulQ(q QFormat, x, y Fixed) Fixed {
 	return Fixed(rounded)
 }
 
-// Div is fixed.Div with accounting under the default Q20 format.
-func (a *Acct) Div(x, y Fixed) Fixed {
-	if a == nil {
-		return Div(x, y)
-	}
-	a.Ops++
-	if y == 0 {
-		a.Saturations++
-		return Div(x, y)
-	}
-	res := Div(x, y)
-	if res == Fixed(Max) || res == Fixed(Min) {
-		a.Saturations++
-		return res
-	}
-	exact := float64(x) / float64(y)
-	a.QuantErrAbs += math.Abs(exact - float64(res)*invPow2[FracBits])
-	return res
-}
-
 // DivQ is QFormat.Div with accounting: division by zero counts as a
 // saturation (it pins the matching rail), and the rounding error of the
 // quotient is accumulated otherwise. Nil-safe.
@@ -180,27 +139,6 @@ func (a *Acct) DivQ(q QFormat, x, y Fixed) Fixed {
 	// Exact quotient x/y in real units vs the rounded fixed-point result.
 	exact := float64(x) / float64(y)
 	a.QuantErrAbs += math.Abs(exact - float64(res)*invPow2[q.frac()&63])
-	return res
-}
-
-// FromFloat is fixed.FromFloat with accounting under the default Q20
-// format.
-func (a *Acct) FromFloat(f float64) Fixed {
-	if a == nil {
-		return FromFloat(f)
-	}
-	a.Ops++
-	if math.IsNaN(f) {
-		a.NaNs++
-		return 0
-	}
-	scaled := f * float64(One)
-	if scaled >= float64(Max) || scaled <= float64(Min) {
-		a.Saturations++
-		return FromFloat(f)
-	}
-	res := FromFloat(f)
-	a.QuantErrAbs += math.Abs(f - float64(res)*invPow2[FracBits])
 	return res
 }
 

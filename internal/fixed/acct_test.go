@@ -30,16 +30,16 @@ func TestAcctResultsIdentical(t *testing.T) {
 		if got, want := acct.Sub(c.x, c.y), Sub(c.x, c.y); got != want {
 			t.Errorf("Acct.Sub(%v,%v) = %v, plain Sub = %v", c.x, c.y, got, want)
 		}
-		if got, want := acct.Mul(c.x, c.y), Mul(c.x, c.y); got != want {
-			t.Errorf("Acct.Mul(%v,%v) = %v, plain Mul = %v", c.x, c.y, got, want)
+		if got, want := acct.MulQ(Q20, c.x, c.y), Mul(c.x, c.y); got != want {
+			t.Errorf("Acct.MulQ(%v,%v) = %v, plain Mul = %v", c.x, c.y, got, want)
 		}
-		if got, want := acct.Div(c.x, c.y), Div(c.x, c.y); got != want {
-			t.Errorf("Acct.Div(%v,%v) = %v, plain Div = %v", c.x, c.y, got, want)
+		if got, want := acct.DivQ(Q20, c.x, c.y), Div(c.x, c.y); got != want {
+			t.Errorf("Acct.DivQ(%v,%v) = %v, plain Div = %v", c.x, c.y, got, want)
 		}
 	}
 	for _, f := range []float64{0, 0.5, -1.25, 3000, -3000, math.NaN(), math.Inf(1), math.Inf(-1), 1e-9} {
-		if got, want := acct.FromFloat(f), FromFloat(f); got != want {
-			t.Errorf("Acct.FromFloat(%g) = %v, plain FromFloat = %v", f, got, want)
+		if got, want := acct.FromFloatQ(Q20, f), FromFloat(f); got != want {
+			t.Errorf("Acct.FromFloatQ(%g) = %v, plain FromFloat = %v", f, got, want)
 		}
 	}
 }
@@ -64,7 +64,7 @@ func TestAcctCounts(t *testing.T) {
 	// Saturating multiply (2000 * 2000 >> Q11 range).
 	a.Reset()
 	big := FromFloat(2000)
-	if got := a.Mul(big, big); got != Fixed(Max) {
+	if got := a.MulQ(Q20, big, big); got != Fixed(Max) {
 		t.Fatalf("Mul(2000, 2000) = %v, want rail", got)
 	}
 	if a.Saturations != 1 || a.QuantErrAbs != 0 {
@@ -73,14 +73,14 @@ func TestAcctCounts(t *testing.T) {
 
 	// Rounding multiply: eps*eps rounds; error accumulates, no saturation.
 	a.Reset()
-	a.Mul(Fixed(3), Fixed(3)) // 9·2⁻⁴⁰ rounds to 0
+	a.MulQ(Q20, Fixed(3), Fixed(3)) // 9·2⁻⁴⁰ rounds to 0
 	if a.QuantErrAbs <= 0 || a.Saturations != 0 {
 		t.Fatalf("rounding mul must accumulate quant error: %+v", a)
 	}
 
 	// Division by zero saturates by convention.
 	a.Reset()
-	if got := a.Div(Fixed(One), 0); got != Fixed(Max) {
+	if got := a.DivQ(Q20, Fixed(One), 0); got != Fixed(Max) {
 		t.Fatalf("Div(1, 0) = %v, want Max", got)
 	}
 	if a.Saturations != 1 {
@@ -89,23 +89,23 @@ func TestAcctCounts(t *testing.T) {
 
 	// Inexact division accumulates rounding error.
 	a.Reset()
-	a.Div(Fixed(One), FromFloat(3))
+	a.DivQ(Q20, Fixed(One), FromFloat(3))
 	if a.QuantErrAbs <= 0 {
 		t.Fatalf("1/3 must accumulate quant error: %+v", a)
 	}
 
 	// NaN coercion and Inf saturation at conversion.
 	a.Reset()
-	a.FromFloat(math.NaN())
-	a.FromFloat(math.Inf(1))
-	a.FromFloat(math.Inf(-1))
+	a.FromFloatQ(Q20, math.NaN())
+	a.FromFloatQ(Q20, math.Inf(1))
+	a.FromFloatQ(Q20, math.Inf(-1))
 	if a.NaNs != 1 || a.Saturations != 2 {
 		t.Fatalf("non-finite conversions miscounted: %+v", a)
 	}
 
 	// Off-grid conversion error.
 	a.Reset()
-	a.FromFloat(1e-9) // below Q20 resolution: rounds to 0 or Eps
+	a.FromFloatQ(Q20, 1e-9) // below Q20 resolution: rounds to 0 or one LSB
 	if a.QuantErrAbs <= 0 {
 		t.Fatalf("off-grid conversion must accumulate quant error: %+v", a)
 	}
@@ -143,9 +143,9 @@ func TestDisabledAcctPathDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		_ = a.Add(x, y)
 		_ = a.Sub(x, y)
-		_ = a.Mul(x, y)
-		_ = a.Div(x, y)
-		_ = a.FromFloat(0.123)
+		_ = a.MulQ(Q20, x, y)
+		_ = a.DivQ(Q20, x, y)
+		_ = a.FromFloatQ(Q20, 0.123)
 	}); allocs != 0 {
 		t.Fatalf("nil Acct op path allocates %g per run", allocs)
 	}
@@ -158,9 +158,9 @@ func TestEnabledAcctPathDoesNotAllocate(t *testing.T) {
 	x, y := FromFloat(0.5), FromFloat(-0.25)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		_ = a.Add(x, y)
-		_ = a.Mul(x, y)
-		_ = a.Div(x, y)
-		_ = a.FromFloat(0.123)
+		_ = a.MulQ(Q20, x, y)
+		_ = a.DivQ(Q20, x, y)
+		_ = a.FromFloatQ(Q20, 0.123)
 	}); allocs != 0 {
 		t.Fatalf("enabled Acct op path allocates %g per run", allocs)
 	}
@@ -173,12 +173,12 @@ func TestFromDenseAcct(t *testing.T) {
 	m.Set(1, 0, math.Inf(1))
 	m.Set(1, 1, 1e-9)
 	acct := &Acct{}
-	got := FromDenseAcct(m, acct)
-	want := FromDense(m)
+	got := FromDenseQ(m, Q20, acct)
+	want := FromDenseQ(m, Q20, nil)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if got.At(i, j) != want.At(i, j) {
-				t.Errorf("FromDenseAcct differs from FromDense at (%d,%d)", i, j)
+				t.Errorf("accounted FromDenseQ differs from plain at (%d,%d)", i, j)
 			}
 		}
 	}
@@ -194,7 +194,7 @@ func BenchmarkAcctDisabledMul(b *testing.B) {
 	x, y := FromFloat(0.5), FromFloat(-0.25)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = a.Mul(x, y)
+		_ = a.MulQ(Q20, x, y)
 	}
 }
 
@@ -203,6 +203,6 @@ func BenchmarkAcctEnabledMul(b *testing.B) {
 	x, y := FromFloat(0.5), FromFloat(-0.25)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = a.Mul(x, y)
+		_ = a.MulQ(Q20, x, y)
 	}
 }

@@ -7,9 +7,9 @@
 //
 // The fraction width is a first-class parameter: QFormat is the arithmetic
 // context, and its format-carrying methods (FromFloat, Float, Mul, Div,
-// Recip, Quantize, One, Eps) interpret the same 32-bit words under any
-// Qm.f layout. The storage word stays 32 bits for every format — only the
-// binary point moves — so memory footprints (and the FPGA BRAM model) are
+// Quantize, One) interpret the same 32-bit words under any Qm.f layout.
+// The storage word stays 32 bits for every format — only the binary
+// point moves — so memory footprints (and the FPGA BRAM model) are
 // format-invariant. The package-level functions are the Q20 fast path; the
 // zero QFormat behaves identically to them, which keeps the default
 // datapath byte-compatible with the pre-parameterized golden vectors.
@@ -60,7 +60,7 @@ type Fixed int32
 // Non-finite inputs follow the hardware AXI-boundary convention: NaN maps
 // to 0 (a NaN observation must not poison the BRAM state; the conversion
 // hardware has no NaN encoding to pass through), +Inf saturates to Max and
-// -Inf to Min. This holds with accounting off as well — Acct.FromFloat
+// -Inf to Min. This holds with accounting off as well — Acct.FromFloatQ
 // additionally *counts* the coercion, it does not change it.
 func FromFloat(f float64) Fixed {
 	if math.IsNaN(f) {
@@ -100,9 +100,6 @@ func Add(x, y Fixed) Fixed { return sat64(int64(x) + int64(y)) }
 // Sub returns x - y with saturation.
 func Sub(x, y Fixed) Fixed { return sat64(int64(x) - int64(y)) }
 
-// Neg returns -x with saturation (negating Min saturates to Max).
-func Neg(x Fixed) Fixed { return sat64(-int64(x)) }
-
 // Mul returns x * y with a 64-bit intermediate, rounding and saturation —
 // the behaviour of a DSP48 multiply followed by a shift.
 func Mul(x, y Fixed) Fixed {
@@ -137,25 +134,6 @@ func Div(x, y Fixed) Fixed {
 	return sat64(q)
 }
 
-// Recip returns 1/x, the scalar reciprocal that replaces the k×k matrix
-// inverse when OS-ELM's batch size is fixed to 1 (paper §2.2).
-func Recip(x Fixed) Fixed { return Div(Fixed(One), x) }
-
-// MulAcc returns acc + x*y keeping the product in 64 bits before the
-// shift, matching a MAC unit with a wide accumulator.
-func MulAcc(acc Fixed, x, y Fixed) Fixed { return Add(acc, Mul(x, y)) }
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi Fixed) Fixed {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // ReLU is the fixed-point activation used by the FPGA core.
 func ReLU(x Fixed) Fixed {
 	if x > 0 {
@@ -163,19 +141,6 @@ func ReLU(x Fixed) Fixed {
 	}
 	return 0
 }
-
-// Abs returns |x| with saturation.
-func Abs(x Fixed) Fixed {
-	if x < 0 {
-		return Neg(x)
-	}
-	return x
-}
-
-// Eps is the smallest positive fixed-point value — one LSB. The word is
-// the same in every Qm.f format; its real value is format-relative
-// (2^-Frac, i.e. QFormat.Resolution — 2⁻²⁰ under the Q20 default).
-const Eps = Fixed(1)
 
 // QFormat is the Qm.f arithmetic context: it fixes where the binary point
 // sits inside the 32-bit word and carries every format-dependent operation
@@ -257,16 +222,8 @@ func (q QFormat) Normalized() QFormat { return QFormat{Frac: q.fracValid()} }
 // ParseQFormat accepts.
 func (q QFormat) String() string { return fmt.Sprintf("Q%d", q.frac()) }
 
-// IntBits returns m, the number of integer bits left of the binary point
-// (sign bit excluded): 31 − Frac.
-func (q QFormat) IntBits() uint { return 31 - q.frac() }
-
 // One is the format's fixed-point representation of 1.0.
 func (q QFormat) One() Fixed { return Fixed(int32(1) << q.frac()) }
-
-// Eps is the smallest positive value in the format — one LSB, the same
-// word in every format; Resolution gives its real value.
-func (q QFormat) Eps() Fixed { return Eps }
 
 // ParseQFormat parses a format name: "Q20", "q20" or a bare fraction
 // width "20", bounded to 1..MaxFracBits.
@@ -336,12 +293,6 @@ func (q QFormat) Div(x, y Fixed) Fixed {
 	}
 	return sat64(r)
 }
-
-// Recip returns 1/x in this format.
-func (q QFormat) Recip(x Fixed) Fixed { return q.Div(q.One(), x) }
-
-// MulAcc returns acc + x*y in this format.
-func (q QFormat) MulAcc(acc, x, y Fixed) Fixed { return Add(acc, q.Mul(x, y)) }
 
 // Quantize rounds f to the format's grid with saturation at the 32-bit
 // rails, staying in float64 — the float-side twin of FromFloat: both land

@@ -58,7 +58,7 @@ func TestRoundingConventionUnified(t *testing.T) {
 		t.Errorf("Div(-1.5 LSB tie) = %d, want -1", got)
 	}
 	// Negative divisor: (-3)/(-2) = +1.5 LSB, still toward +inf.
-	if got := Div(Fixed(-3), Neg(two)); got != Fixed(2) {
+	if got := Div(Fixed(-3), -two); got != Fixed(2) {
 		t.Errorf("Div(-3, -2) = %d, want 2", got)
 	}
 	// QFormat follows the same convention.
@@ -121,11 +121,11 @@ func TestAddSaturates(t *testing.T) {
 }
 
 func TestNeg(t *testing.T) {
-	if Neg(FromFloat(1.5)).Float() != -1.5 {
-		t.Error("Neg(1.5)")
+	if Sub(0, FromFloat(1.5)).Float() != -1.5 {
+		t.Error("0 - 1.5")
 	}
-	if Neg(Fixed(Min)) != Fixed(Max) {
-		t.Error("Neg(Min) must saturate to Max")
+	if Sub(0, Fixed(Min)) != Fixed(Max) {
+		t.Error("0 - Min must saturate to Max")
 	}
 }
 
@@ -149,7 +149,7 @@ func TestMulSaturates(t *testing.T) {
 	if Mul(big, big) != Fixed(Max) {
 		t.Error("Mul overflow must saturate")
 	}
-	if Mul(big, Neg(big)) != Fixed(Min) {
+	if Mul(big, -big) != Fixed(Min) {
 		t.Error("Mul negative overflow must saturate")
 	}
 }
@@ -178,40 +178,31 @@ func TestDivByZero(t *testing.T) {
 }
 
 func TestRecip(t *testing.T) {
-	if got := Recip(FromFloat(4)).Float(); got != 0.25 {
-		t.Errorf("Recip(4) = %v", got)
+	if got := Div(Fixed(One), FromFloat(4)).Float(); got != 0.25 {
+		t.Errorf("1/4 = %v", got)
 	}
 	// Reciprocal of a denominator >= 1, the OS-ELM case: 1/(1+hPh) <= 1.
 	d := FromFloat(1.7)
-	got := Recip(d).Float()
+	got := Div(Fixed(One), d).Float()
 	if math.Abs(got-1/1.7) > 2e-6 {
-		t.Errorf("Recip(1.7) = %v want %v", got, 1/1.7)
+		t.Errorf("1/1.7 = %v want %v", got, 1/1.7)
 	}
 }
 
 func TestMulAcc(t *testing.T) {
 	acc := FromFloat(1)
-	acc = MulAcc(acc, FromFloat(2), FromFloat(3))
+	acc = Add(acc, Mul(FromFloat(2), FromFloat(3)))
 	if acc.Float() != 7 {
-		t.Errorf("MulAcc = %v", acc.Float())
+		t.Errorf("1 + 2·3 = %v", acc.Float())
 	}
 }
 
 func TestClampReLUAbs(t *testing.T) {
-	if Clamp(FromFloat(5), FromFloat(-1), FromFloat(1)) != FromFloat(1) {
-		t.Error("Clamp upper")
-	}
-	if Clamp(FromFloat(-5), FromFloat(-1), FromFloat(1)) != FromFloat(-1) {
-		t.Error("Clamp lower")
-	}
 	if ReLU(FromFloat(-3)) != 0 {
 		t.Error("ReLU negative")
 	}
 	if ReLU(FromFloat(3)) != FromFloat(3) {
 		t.Error("ReLU positive")
-	}
-	if Abs(FromFloat(-2)).Float() != 2 {
-		t.Error("Abs")
 	}
 }
 
@@ -240,7 +231,7 @@ func TestPropertyAddCommutative(t *testing.T) {
 		r := rng.New(seed)
 		a := FromFloat(r.Uniform(-500, 500))
 		b := FromFloat(r.Uniform(-500, 500))
-		return Add(a, b) == Add(b, a) && Sub(a, b) == Neg(Sub(b, a))
+		return Add(a, b) == Add(b, a) && Sub(a, b) == Sub(0, Sub(b, a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -39,8 +39,8 @@ func FuzzAddProperties(f *testing.F) {
 			}
 		}
 		// Sub is Add of the negation (away from the Min edge case).
-		if b != math.MinInt32 && Sub(x, y) != Add(x, Neg(y)) {
-			t.Fatal("Sub != Add(Neg)")
+		if b != math.MinInt32 && Sub(x, y) != Add(x, -y) {
+			t.Fatal("Sub != Add of the negation")
 		}
 	})
 }
@@ -113,11 +113,6 @@ func FuzzClampReLU(f *testing.F) {
 	f.Add(int32(0))
 	f.Fuzz(func(t *testing.T, a int32) {
 		x := Fixed(a)
-		one := Fixed(One)
-		c := Clamp(x, Neg(one), one)
-		if c < Neg(one) || c > one {
-			t.Fatalf("Clamp out of range: %v", c)
-		}
 		r := ReLU(x)
 		if r < 0 {
 			t.Fatalf("ReLU negative: %v", r)

@@ -18,11 +18,6 @@ type Matrix struct {
 	data       []Fixed
 }
 
-// NewMatrix allocates a rows×cols zero matrix in the default Q20 format.
-func NewMatrix(rows, cols int) *Matrix {
-	return NewMatrixQ(rows, cols, QFormat{})
-}
-
 // NewMatrixQ allocates a rows×cols zero matrix in the given format.
 func NewMatrixQ(rows, cols int, q QFormat) *Matrix {
 	if rows < 0 || cols < 0 {
@@ -34,18 +29,6 @@ func NewMatrixQ(rows, cols int, q QFormat) *Matrix {
 // Format returns the matrix's Qm.f format (normalized, so the zero-format
 // default reports Q20).
 func (m *Matrix) Format() QFormat { return m.q.Normalized() }
-
-// FromDense quantizes a float64 matrix into fixed point (Q20 default).
-func FromDense(m *mat.Dense) *Matrix {
-	return FromDenseAcct(m, nil)
-}
-
-// FromDenseAcct is FromDense with per-element conversion accounting (NaN
-// coercions, rail saturations, accumulated quantization error). acct may
-// be nil, which is exactly FromDense.
-func FromDenseAcct(m *mat.Dense, acct *Acct) *Matrix {
-	return FromDenseQ(m, QFormat{}, acct)
-}
 
 // FromDenseQ quantizes a float64 matrix into the given format, with
 // optional per-element conversion accounting (acct may be nil).

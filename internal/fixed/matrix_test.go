@@ -16,15 +16,15 @@ func TestMatrixRoundTrip(t *testing.T) {
 		d.RawData()[i] = FromFloat(v).Float()
 		_ = i
 	}
-	fm := FromDense(d)
+	fm := FromDenseQ(d, Q20, nil)
 	back := fm.ToDense()
 	if !mat.Equal(d, back, 0) {
-		t.Error("FromDense/ToDense round trip not exact on grid values")
+		t.Error("FromDenseQ/ToDense round trip not exact on grid values")
 	}
 }
 
 func TestMatrixAccessors(t *testing.T) {
-	m := NewMatrix(2, 3)
+	m := NewMatrixQ(2, 3, Q20)
 	if m.Rows() != 2 || m.Cols() != 3 {
 		t.Fatalf("dims %dx%d", m.Rows(), m.Cols())
 	}
@@ -38,7 +38,7 @@ func TestMatrixAccessors(t *testing.T) {
 }
 
 func TestMatrixClone(t *testing.T) {
-	m := NewMatrix(2, 2)
+	m := NewMatrixQ(2, 2, Q20)
 	m.Set(0, 0, FromFloat(1))
 	c := m.Clone()
 	c.Set(0, 0, FromFloat(9))
@@ -49,7 +49,7 @@ func TestMatrixClone(t *testing.T) {
 
 func TestMaxAbsError(t *testing.T) {
 	d := mat.New(1, 2, []float64{1.0, 2.0})
-	fm := FromDense(d)
+	fm := FromDenseQ(d, Q20, nil)
 	ref := mat.New(1, 2, []float64{1.5, 2.0})
 	if got := fm.MaxAbsError(ref); got != 0.5 {
 		t.Errorf("MaxAbsError = %v", got)
@@ -60,7 +60,7 @@ func TestQuantizationErrorBound(t *testing.T) {
 	r := rng.New(2)
 	d := mat.Zeros(8, 8)
 	r.FillUniform(d.RawData(), -10, 10)
-	fm := FromDense(d)
+	fm := FromDenseQ(d, Q20, nil)
 	if e := fm.MaxAbsError(d); e > 1.0/float64(One) {
 		t.Errorf("quantization error %v exceeds one LSB", e)
 	}
@@ -72,5 +72,5 @@ func TestNegativeDimsPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMatrix(-1, 2)
+	NewMatrixQ(-1, 2, Q20)
 }

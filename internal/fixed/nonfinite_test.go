@@ -26,7 +26,7 @@ func TestNonFiniteConversionTable(t *testing.T) {
 		{"Div(FromFloat(NaN), 2)", Div(FromFloat(math.NaN()), FromFloat(2)), 0},
 		// Dividing by a coerced NaN (0) pins the rail matching the sign.
 		{"Div(1, FromFloat(NaN))", Div(Fixed(One), FromFloat(math.NaN())), Fixed(Max)},
-		{"Div(-1, FromFloat(NaN))", Div(Neg(Fixed(One)), FromFloat(math.NaN())), Fixed(Min)},
+		{"Div(-1, FromFloat(NaN))", Div(-Fixed(One), FromFloat(math.NaN())), Fixed(Min)},
 		// Inf saturates at conversion, then divides like the rail value:
 		// Max/2 rounds half-up to 2³⁰, and 1/Max ≈ 2⁻¹¹ (512 LSBs).
 		{"Div(FromFloat(+Inf), 2)", Div(FromFloat(math.Inf(1)), FromFloat(2)), Fixed(1 << 30)},

@@ -79,9 +79,6 @@ func TestQ20MethodsMatchPackageFunctions(t *testing.T) {
 					t.Fatalf("%s.Div(%d, %d) = %d, package Div = %d", q, x, y, got, want)
 				}
 			}
-			if got, want := q.Recip(x), Recip(x); got != want {
-				t.Fatalf("%s.Recip(%d) = %d, package Recip = %d", q, x, got, want)
-			}
 			if got, want := q.Float(x), x.Float(); got != want {
 				t.Fatalf("%s.Float(%d) = %g, Fixed.Float = %g", q, x, got, want)
 			}
@@ -94,9 +91,6 @@ func TestQ20MethodsMatchPackageFunctions(t *testing.T) {
 		if q.One() != Fixed(One) {
 			t.Fatalf("%s.One() = %d, want %d", q, q.One(), One)
 		}
-		if q.Eps() != Eps {
-			t.Fatalf("%s.Eps() = %d, want %d", q, q.Eps(), Eps)
-		}
 	}
 }
 
@@ -106,9 +100,6 @@ func TestQFormatAccessors(t *testing.T) {
 	}
 	if got := (QFormat{}).String(); got != "Q20" {
 		t.Errorf("zero format String() = %q, want Q20", got)
-	}
-	if got := Q16.IntBits(); got != 15 {
-		t.Errorf("Q16.IntBits() = %d, want 15", got)
 	}
 	if got := Q24.One(); got != Fixed(1<<24) {
 		t.Errorf("Q24.One() = %d, want %d", got, 1<<24)
@@ -230,7 +221,7 @@ func TestMatrixFormat(t *testing.T) {
 			t.Fatalf("Clone dropped format: %v", c.Format())
 		}
 	}
-	if NewMatrix(1, 1).Format() != Q20 {
-		t.Error("NewMatrix should default to Q20")
+	if NewMatrixQ(1, 1, QFormat{}).Format() != Q20 {
+		t.Error("the zero format should default to Q20")
 	}
 }

@@ -51,16 +51,12 @@ func TestFleetN1MatchesSequentialCore(t *testing.T) {
 			for _, hidden := range []int{32, 64, 128, 192} {
 				core := fpga.NewCoreQ(5, hidden, 1, model, q)
 
-				// The kernel-boundary interface agrees with the analytic
-				// formulas at every design point.
+				// The dimension-only table agrees with the core's at every
+				// design point.
 				costs := core.KernelCosts()
 				if got := fpga.AnalyticKernelCosts(5, hidden, 1, model); got != costs {
 					t.Fatalf("%s/%s/h=%d: AnalyticKernelCosts %v != core table %v",
 						name, q, hidden, got, costs)
-				}
-				if costs.Cycles(fpga.KernelPredict) != core.KernelCycles(fpga.KernelPredict) ||
-					costs.Cycles(fpga.KernelSeqTrain) != core.KernelCycles(fpga.KernelSeqTrain) {
-					t.Fatalf("%s/%s/h=%d: KernelCycles disagrees with KernelCosts", name, q, hidden)
 				}
 
 				// Execute the inner loop on the real datapath.

@@ -7,7 +7,8 @@
 // goes through internal/fixed's saturating Qm.f arithmetic — and
 // cycle-counted: the paper's core has "only a single add, mult, and div
 // unit", so datapath cycles are the sequential operation count (divides
-// take an iterative divider's latency). Cycle counts and BRAM/DSP/FF/LUT
+// take an iterative divider's latency), tabulated once per core in its
+// schedule (kernel.go). Cycle counts and BRAM/DSP/FF/LUT
 // resources are format-invariant: only the binary point moves, the 32-bit
 // word and the operation schedule do not.
 //
@@ -63,7 +64,9 @@ type Core struct {
 
 	inputSize, hiddenSize, outputSize int
 
-	model  CycleModel
+	// sched is the cycle-cost table Predict and SeqTrain charge from;
+	// cycles is the running total of the charged steps.
+	sched  schedule
 	cycles int64
 
 	// q is the Qm.f arithmetic context (normalized; Q20 by default); one
@@ -81,9 +84,12 @@ type Core struct {
 	// denomGuardTrips counts seq_train updates rejected by the guard.
 	denomGuardTrips int64
 
-	// scratch vectors model the working BRAMs (h and P·h).
+	// scratch vectors model the working BRAMs (h and P·h); g is the
+	// seq_train gain s·ph, which lives in register/LUTRAM scratch rather
+	// than a modelled BRAM bank (so BRAMWords leaves it out).
 	h  []fixed.Fixed
 	ph []fixed.Fixed
+	g  []fixed.Fixed
 
 	// Numeric-health accounting. acct is the active accumulator during a
 	// module invocation (acctPredict inside Predict, acctSeq inside
@@ -96,13 +102,10 @@ type Core struct {
 	acctConv    *fixed.Acct
 
 	// Device-level cycle profiler (prof.go); nil when profiling is off.
-	// Kernels bulk-charge their deterministic loop totals at kernel
-	// boundaries (Prof.charge is nil-safe), so the per-op hot path —
-	// add/mul/div below — carries no profiler code at all and stays
-	// inlinable. profPhase is the module being executed, set by
-	// enterModule and read by the shared hidden() pass.
-	prof      *Prof
-	profPhase ProfPhase
+	// It is charged from the schedule alongside the cycle counter, so
+	// the per-op helpers (add/sub/mul/div) carry neither cycle nor
+	// profiler code.
+	prof *Prof
 }
 
 // NewCore allocates a core for the given dimensions in the default Q20
@@ -130,9 +133,10 @@ func NewCoreQ(inputSize, hiddenSize, outputSize int, model CycleModel, q fixed.Q
 		q:          q,
 		one:        one,
 		denomFloor: one / 2,
-		model:      model,
+		sched:      newSchedule(inputSize, hiddenSize, outputSize, model),
 		h:          make([]fixed.Fixed, hiddenSize),
 		ph:         make([]fixed.Fixed, hiddenSize),
+		g:          make([]fixed.Fixed, hiddenSize),
 	}
 }
 
@@ -238,48 +242,26 @@ func (c *Core) HiddenSize() int { return c.hiddenSize }
 // OutputSize returns m.
 func (c *Core) OutputSize() int { return c.outputSize }
 
-// enterModule marks a module invocation for the profiler: sets the phase
-// and charges the FSM invocation overhead to (phase, overhead, invoke).
-func (c *Core) enterModule(ph ProfPhase) {
-	c.profPhase = ph
-	c.cycles += c.model.InvokeOverhead
-	c.prof.charge(ph, KernOverhead, UnitInvoke, c.model.InvokeOverhead, 1)
+// charge adds executed schedule steps to the cycle counter and, when
+// profiling is on, to the attribution profile under phase ph.
+func (c *Core) charge(ph ProfPhase, steps []step) {
+	for _, s := range steps {
+		c.cycles += s.cycles
+		c.prof.charge(ph, s.kern, s.unit, s.cycles, s.ops)
+	}
 }
 
-// chargeMACs attributes one kernel's n multiply-accumulates (n adds + n
-// muls through the shared units) to the profiler. The MAC count of every
-// kernel loop is fixed by the core's dimensions, so charging the bulk
-// total at the kernel boundary is exact — and keeps add/mul below free of
-// profiler code.
-func (c *Core) chargeMACs(k ProfKernel, n int64) {
-	c.prof.charge(c.profPhase, k, UnitAdd, n*c.model.Add, n)
-	c.prof.charge(c.profPhase, k, UnitMul, n*c.model.Mul, n)
-}
+func (c *Core) add(a, b fixed.Fixed) fixed.Fixed { return c.acct.Add(a, b) }
 
-func (c *Core) add(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Add
-	return c.acct.Add(a, b)
-}
+func (c *Core) sub(a, b fixed.Fixed) fixed.Fixed { return c.acct.Sub(a, b) }
 
-func (c *Core) sub(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Add
-	return c.acct.Sub(a, b)
-}
+func (c *Core) mul(a, b fixed.Fixed) fixed.Fixed { return c.acct.MulQ(c.q, a, b) }
 
-func (c *Core) mul(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Mul
-	return c.acct.MulQ(c.q, a, b)
-}
+func (c *Core) div(a, b fixed.Fixed) fixed.Fixed { return c.acct.DivQ(c.q, a, b) }
 
-func (c *Core) div(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Div
-	return c.acct.DivQ(c.q, a, b)
-}
-
-// hidden computes h = ReLU(x·α + b) into c.h. The caller has set the
-// profiler phase (enterModule) — the hidden pass itself charges the
-// hidden_pass kernel and the x/α/bias/h bank traffic: the input DMA'd
-// into the x bank once, then x and α streamed once per MAC.
+// hidden computes h = ReLU(x·α + b) into c.h and records the x/α/bias/h
+// bank traffic: the input DMA'd into the x bank once, then x and α
+// streamed once per MAC.
 func (c *Core) hidden(x []fixed.Fixed) {
 	if len(x) != c.inputSize {
 		panic(fmt.Sprintf("fpga: input length %d, core expects %d", len(x), c.inputSize))
@@ -292,7 +274,6 @@ func (c *Core) hidden(x []fixed.Fixed) {
 		c.h[j] = fixed.ReLU(acc) // comparator, no arithmetic-unit cycle
 	}
 	n, h := int64(c.inputSize), int64(c.hiddenSize)
-	c.chargeMACs(KernHiddenPass, n*h)
 	c.prof.access(BankX, BankWrite, n)
 	c.prof.access(BankX, BankRead, n*h)
 	c.prof.access(BankAlpha, BankRead, n*h)
@@ -305,7 +286,6 @@ func (c *Core) hidden(x []fixed.Fixed) {
 // dot product the seq_train residual evaluates.
 func (c *Core) Predict(x []fixed.Fixed) []fixed.Fixed {
 	c.acct = c.acctPredict
-	c.enterModule(ProfPredict)
 	c.hidden(x)
 	out := make([]fixed.Fixed, c.outputSize)
 	for o := 0; o < c.outputSize; o++ {
@@ -316,7 +296,7 @@ func (c *Core) Predict(x []fixed.Fixed) []fixed.Fixed {
 		out[o] = acc
 	}
 	hn, m := int64(c.hiddenSize), int64(c.outputSize)
-	c.chargeMACs(KernResidual, m*hn)
+	c.charge(ProfPredict, c.sched.predict)
 	c.prof.access(BankH, BankRead, m*hn)
 	c.prof.access(BankBeta, BankRead, m*hn)
 	return out
@@ -391,14 +371,14 @@ func (c *Core) PredictSilent(x []fixed.Fixed) []fixed.Fixed {
 // shreds P and β. If the denominator falls below 0.5 (quantization jitter
 // alone cannot take it that low) the update is rejected: state is left
 // untouched, DenomGuardTrips increments, and the agent surfaces the trip
-// as a numeric_alert-style event. A rejected update stops counting cycles
-// at the point of rejection — the hardware FSM would bail the same way.
+// as a numeric_alert-style event. A rejected update is charged only the
+// schedule steps that ran before the rejection — the hardware FSM would
+// bail the same way.
 func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 	if len(t) != c.outputSize {
 		panic(fmt.Sprintf("fpga: target length %d, core expects %d", len(t), c.outputSize))
 	}
 	c.acct = c.acctSeq
-	c.enterModule(ProfSeqTrain)
 	c.hidden(x)
 	n := c.hiddenSize
 	nn := int64(n) * int64(n)
@@ -411,39 +391,31 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 		}
 		c.ph[i] = acc
 	}
-	c.chargeMACs(KernPH, nn)
 	c.prof.access(BankP, BankRead, nn)
 	c.prof.access(BankH, BankRead, nn)
 	c.prof.access(BankPH, BankWrite, int64(n))
 
 	// denom = 1 + h·ph ; s = 1/denom (the gain kernel's scalar path).
-	// The denominator MACs are charged before the guard check so a
-	// rejected update's attribution still covers exactly the work that ran.
 	denom := c.one
 	for j := 0; j < n; j++ {
 		denom = c.add(denom, c.mul(c.h[j], c.ph[j]))
 	}
-	c.chargeMACs(KernGain, int64(n))
 	c.prof.access(BankH, BankRead, int64(n))
 	c.prof.access(BankPH, BankRead, int64(n))
+	// The steps up to the guard are charged first, so a rejected update
+	// is charged exactly the work that ran.
+	c.charge(ProfSeqTrain, c.sched.seqTrain[:c.sched.bail])
 	if denom < c.denomFloor {
-		// Guard bail: the FSM stops here, so only the work that actually
-		// ran is charged — the attribution invariant holds for rejected
-		// updates too (the analytic SeqTrainKernelCycles describes the
-		// full, accepted update).
 		c.denomGuardTrips++
 		return
 	}
 	s := c.div(c.one, denom)
-	c.prof.charge(ProfSeqTrain, KernGain, UnitDiv, c.model.Div, 1)
 
-	// g = s·ph (the Kalman-style gain, reused for both P and β updates;
-	// g lives in register/LUTRAM scratch, not a modelled BRAM bank)
-	g := make([]fixed.Fixed, n)
+	// g = s·ph (the Kalman-style gain, reused for both P and β updates)
+	g := c.g
 	for i := 0; i < n; i++ {
 		g[i] = c.mul(s, c.ph[i])
 	}
-	c.prof.charge(ProfSeqTrain, KernGain, UnitMul, int64(n)*c.model.Mul, int64(n))
 	c.prof.access(BankPH, BankRead, int64(n))
 
 	// P ← P − g·phᵀ. The transposed copy (Pt bank) is written alongside
@@ -454,7 +426,6 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 			c.P.Set(i, j, c.sub(c.P.At(i, j), c.mul(g[i], c.ph[j])))
 		}
 	}
-	c.chargeMACs(KernDowndate, nn)
 	c.prof.access(BankP, BankRead, nn)
 	c.prof.access(BankPH, BankRead, nn)
 	c.prof.access(BankP, BankWrite, nn)
@@ -472,10 +443,7 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 		}
 	}
 	mn := int64(c.outputSize) * int64(n)
-	c.chargeMACs(KernResidual, mn)
-	// The residual's e = t − pred subtract: one extra add-unit op per output.
-	c.prof.charge(ProfSeqTrain, KernResidual, UnitAdd, int64(c.outputSize)*c.model.Add, int64(c.outputSize))
-	c.chargeMACs(KernBetaUpdate, mn)
+	c.charge(ProfSeqTrain, c.sched.seqTrain[c.sched.bail:])
 	c.prof.access(BankH, BankRead, mn)
 	c.prof.access(BankBeta, BankRead, 2*mn) // residual read + update read-modify-write
 	c.prof.access(BankBeta, BankWrite, mn)
@@ -492,60 +460,6 @@ func (c *Core) SeqTrainFloat(x []float64, t []float64) {
 		tt[i] = c.q.FromFloat(v)
 	}
 	c.SeqTrain(in, tt)
-}
-
-// PredictCycles returns the analytic cycle count of one predict call,
-// which must match what the simulator actually counts (asserted in tests).
-func (c *Core) PredictCycles() int64 {
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	hiddenOps := h * n * (c.model.Add + c.model.Mul)
-	outOps := m * h * (c.model.Add + c.model.Mul)
-	return c.model.InvokeOverhead + hiddenOps + outOps
-}
-
-// SeqTrainCycles returns the analytic cycle count of one seq_train call.
-func (c *Core) SeqTrainCycles() int64 {
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	am := c.model.Add + c.model.Mul
-	hiddenOps := h * n * am
-	phOps := h * h * am
-	denomOps := h * am
-	divOps := c.model.Div
-	gainOps := h * c.model.Mul
-	pOps := h * h * am
-	betaOps := m * (h*am + c.model.Add + h*am)
-	return c.model.InvokeOverhead + hiddenOps + phOps + denomOps + divOps + gainOps + pOps + betaOps
-}
-
-// PredictKernelCycles returns the analytic per-kernel breakdown of one
-// predict call, indexed by ProfKernel. The entries sum to
-// PredictCycles() and match what the profiler measures (prof_test.go
-// asserts both, for every QFormat and hidden size).
-func (c *Core) PredictKernelCycles() [NumProfKernels]int64 {
-	var out [NumProfKernels]int64
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	am := c.model.Add + c.model.Mul
-	out[KernOverhead] = c.model.InvokeOverhead
-	out[KernHiddenPass] = h * n * am
-	out[KernResidual] = m * h * am // the y = h·β output pass
-	return out
-}
-
-// SeqTrainKernelCycles returns the analytic per-kernel breakdown of one
-// complete (not guard-rejected) seq_train call, indexed by ProfKernel.
-// The entries sum to SeqTrainCycles().
-func (c *Core) SeqTrainKernelCycles() [NumProfKernels]int64 {
-	var out [NumProfKernels]int64
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	am := c.model.Add + c.model.Mul
-	out[KernOverhead] = c.model.InvokeOverhead
-	out[KernHiddenPass] = h * n * am
-	out[KernPH] = h * h * am
-	out[KernGain] = h*am + c.model.Div + h*c.model.Mul // denom + divide + g = s·ph
-	out[KernDowndate] = h * h * am
-	out[KernResidual] = m * (h*am + c.model.Add) // h·β dot + the e = t − pred subtract
-	out[KernBetaUpdate] = m * h * am
-	return out
 }
 
 // BRAMWords returns the number of 32-bit words of on-chip state the core

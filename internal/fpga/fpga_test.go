@@ -83,21 +83,63 @@ func TestSeqTrainTracksFloat(t *testing.T) {
 	}
 }
 
-// TestCycleCountsMatchAnalytic: the simulator's counted cycles must equal
-// the closed-form PredictCycles/SeqTrainCycles formulas exactly.
+// TestCycleCountsMatchAnalytic pins the cycles one predict and one
+// seq_train count on a 5-input, 1-output core against the closed forms
+// of the single-unit schedule (Ñ hidden units):
+//
+//	default   (Add=Mul=1, Div=32, overhead 16): predict 16 + 12Ñ, seq_train 49 + 17Ñ + 4Ñ²
+//	pipelined (Mul=0):                           predict 16 + 6Ñ,  seq_train 49 + 8Ñ + 2Ñ²
+//
+// and the cost table the fleet simulator charges must agree.
 func TestCycleCountsMatchAnalytic(t *testing.T) {
-	for _, hidden := range []int{8, 32, 64} {
-		c := NewCore(5, hidden, 1, DefaultCycleModel())
+	for _, tc := range []struct {
+		name          string
+		model         CycleModel
+		hidden        int
+		predict, seqT int64
+	}{
+		{"default", DefaultCycleModel(), 8, 112, 441},
+		{"default", DefaultCycleModel(), 32, 400, 4689},
+		{"default", DefaultCycleModel(), 64, 784, 17521},
+		{"pipelined", PipelinedCycleModel(), 8, 64, 241},
+		{"pipelined", PipelinedCycleModel(), 64, 400, 8753},
+	} {
+		c := NewCore(5, tc.hidden, 1, tc.model)
 		x := make([]fixed.Fixed, 5)
-		c.ResetCycles()
 		c.Predict(x)
-		if got, want := c.Cycles(), c.PredictCycles(); got != want {
-			t.Errorf("hidden=%d: predict cycles %d, analytic %d", hidden, got, want)
+		if got := c.Cycles(); got != tc.predict {
+			t.Errorf("%s/h=%d: predict cycles %d, want %d", tc.name, tc.hidden, got, tc.predict)
 		}
 		c.ResetCycles()
 		c.SeqTrain(x, []fixed.Fixed{0})
-		if got, want := c.Cycles(), c.SeqTrainCycles(); got != want {
-			t.Errorf("hidden=%d: seq_train cycles %d, analytic %d", hidden, got, want)
+		if got := c.Cycles(); got != tc.seqT {
+			t.Errorf("%s/h=%d: seq_train cycles %d, want %d", tc.name, tc.hidden, got, tc.seqT)
+		}
+		if got, want := c.KernelCosts(), (KernelCosts{tc.predict, tc.seqT}); got != want {
+			t.Errorf("%s/h=%d: KernelCosts %v, want %v", tc.name, tc.hidden, got, want)
+		}
+	}
+}
+
+// TestKernelAttribution pins the per-kernel split of one predict and one
+// seq_train (default model, 5/8/1 core) that the fpga_cycles metrics
+// report.
+func TestKernelAttribution(t *testing.T) {
+	c := NewCore(5, 8, 1, DefaultCycleModel())
+	c.EnableProfiling()
+	x := make([]fixed.Fixed, 5)
+	c.Predict(x)
+	c.SeqTrain(x, []fixed.Fixed{0})
+	want := map[ProfPhase][NumProfKernels]int64{
+		// hidden_pass, p_h, gain (denom + divide + g), downdate, residual (+ e subtract), beta_update, overhead
+		ProfPredict:  {80, 0, 0, 0, 16, 0, 16},
+		ProfSeqTrain: {80, 128, 16 + 32 + 8, 128, 16 + 1, 16, 16},
+	}
+	for ph, ks := range want {
+		for k, w := range ks {
+			if got := c.Prof().KernelCycles(ph, ProfKernel(k)); got != w {
+				t.Errorf("%v/%v: %d cycles, want %d", ph, ProfKernel(k), got, w)
+			}
 		}
 	}
 }
@@ -105,9 +147,10 @@ func TestCycleCountsMatchAnalytic(t *testing.T) {
 // TestSeqTrainCyclesQuadratic: doubling Ñ must roughly quadruple seq_train
 // cycles (the paper's §4.4 growth argument).
 func TestSeqTrainCyclesQuadratic(t *testing.T) {
-	c32 := NewCore(5, 32, 1, DefaultCycleModel()).SeqTrainCycles()
-	c64 := NewCore(5, 64, 1, DefaultCycleModel()).SeqTrainCycles()
-	c128 := NewCore(5, 128, 1, DefaultCycleModel()).SeqTrainCycles()
+	seq := func(hidden int) int64 {
+		return AnalyticKernelCosts(5, hidden, 1, DefaultCycleModel())[KernelSeqTrain]
+	}
+	c32, c64, c128 := seq(32), seq(64), seq(128)
 	if r := float64(c64) / float64(c32); r < 3 || r > 4.5 {
 		t.Errorf("32→64 cycle ratio %v", r)
 	}
@@ -120,7 +163,7 @@ func TestSeqTrainCyclesQuadratic(t *testing.T) {
 func TestPredictUsingRestoresBeta(t *testing.T) {
 	m := trainedFloatModel(t, 8)
 	c := loadedCore(t, m)
-	beta2 := fixed.NewMatrix(8, 1) // all zeros
+	beta2 := fixed.NewMatrixQ(8, 1, fixed.Q20) // all zeros
 	x := make([]fixed.Fixed, 5)
 	for i := range x {
 		x[i] = fixed.FromFloat(0.5)
@@ -243,7 +286,7 @@ func TestAgentLifecycle(t *testing.T) {
 	if a.Counters().Calls(timing.PhaseSeqTrain) != 1 {
 		t.Error("seq_train not counted")
 	}
-	if a.Counters().Work(timing.PhaseSeqTrain) < float64(a.Core().SeqTrainCycles()) {
+	if a.Counters().Work(timing.PhaseSeqTrain) < float64(a.Core().KernelCosts()[KernelSeqTrain]) {
 		t.Error("seq_train work must include the core's cycles")
 	}
 }
@@ -376,17 +419,11 @@ func TestAgentGreedyActionAndAccessors(t *testing.T) {
 }
 
 // TestPipelinedCycleModel: the II=1 MAC pipeline roughly halves seq_train
-// cycles versus the non-pipelined model, and the simulator still matches
-// its analytic formulas exactly.
+// cycles versus the non-pipelined model.
 func TestPipelinedCycleModel(t *testing.T) {
-	seq := NewCore(5, 64, 1, DefaultCycleModel())
-	pipe := NewCore(5, 64, 1, PipelinedCycleModel())
-	x := make([]fixed.Fixed, 5)
-	pipe.SeqTrain(x, []fixed.Fixed{0})
-	if got, want := pipe.Cycles(), pipe.SeqTrainCycles(); got != want {
-		t.Fatalf("pipelined counted %d, analytic %d", got, want)
-	}
-	ratio := float64(seq.SeqTrainCycles()) / float64(pipe.SeqTrainCycles())
+	seq := AnalyticKernelCosts(5, 64, 1, DefaultCycleModel())[KernelSeqTrain]
+	pipe := AnalyticKernelCosts(5, 64, 1, PipelinedCycleModel())[KernelSeqTrain]
+	ratio := float64(seq) / float64(pipe)
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Errorf("pipeline speedup = %vx, want ~2x", ratio)
 	}

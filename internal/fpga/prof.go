@@ -7,13 +7,12 @@ package fpga
 // comparison, so the datapath pays nothing measurable when profiling is
 // off (pinned by the disabled-path benchmarks).
 //
-// The load-bearing invariant: the sum of all attributed cycles equals
-// Core.Cycles() exactly — every `c.cycles +=` site in core.go has a
-// matching charge — and, for complete module invocations, the per-kernel
-// sums equal the analytic PredictKernelCycles/SeqTrainKernelCycles
-// breakdowns. The profiler is therefore a cross-check on the cycle model
-// itself, not just a lens over it (prof_test.go enforces this across
-// QFormats and hidden sizes).
+// Cycles and ops are charged from the core's schedule (kernel.go) in the
+// same step that advances Core.Cycles(), so the attributed total equals
+// it by construction. The independent check is the accounting Acct: the
+// add+mul+div ops a module is charged must equal the ops its kernel loops
+// executed (prof_test.go checks this across cycle models, QFormats and
+// hidden sizes, guard-rejected updates included).
 //
 // Prof is a plain value type (fixed-size arrays, no pointers): snapshot
 // it with a struct copy, diff snapshots with Delta, compare with ==.
@@ -225,11 +224,8 @@ type Prof struct {
 
 // charge attributes cyc cycles and ops operations to one (phase, kernel,
 // unit) cell. Nil-safe: the disabled profiler costs one pointer
-// comparison. Kernels bulk-charge their deterministic loop totals at the
-// kernel boundary rather than per elementary op — the loop trip counts
-// are fixed by the core's dimensions, so the attribution is exact while
-// the datapath's add/mul/div helpers stay small enough to inline and the
-// profiler-off hot path is identical to the pre-profiler core.
+// comparison. The core calls it once per schedule step, not per
+// elementary op.
 func (p *Prof) charge(ph ProfPhase, k ProfKernel, u ProfUnit, cyc, ops int64) {
 	if p == nil {
 		return

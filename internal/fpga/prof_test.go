@@ -15,79 +15,72 @@ func profProbe(q fixed.QFormat, n int) []fixed.Fixed {
 	return x
 }
 
-// TestProfAttributionMatchesAnalytic is the profiler's load-bearing
-// property test: for every QFormat × hidden size × cycle model, the
-// measured per-kernel attribution of one predict and one (accepted)
-// seq_train must equal the analytic PredictKernelCycles /
-// SeqTrainKernelCycles breakdowns exactly, and the total attributed
-// cycles must equal Core.Cycles() — the profiler cross-checks the cycle
-// model, not just samples it.
-func TestProfAttributionMatchesAnalytic(t *testing.T) {
+// TestScheduleMatchesExecutedWork checks the cycle schedule against the
+// work the kernel loops actually execute: for every cycle model × QFormat
+// × hidden size, the add+mul+div ops charged for one predict, one accepted
+// seq_train and one guard-rejected seq_train must equal the ops the
+// module's accounting Acct counted. Under a unit-latency model every op
+// costs one cycle, so there the charged cycles must equal that count too.
+func TestScheduleMatchesExecutedWork(t *testing.T) {
 	models := []struct {
 		name  string
 		model CycleModel
 	}{
 		{"default", DefaultCycleModel()},
 		{"pipelined", PipelinedCycleModel()},
+		{"unit", CycleModel{Add: 1, Mul: 1, Div: 1}},
 	}
 	for _, m := range models {
 		for _, q := range []fixed.QFormat{fixed.Q16, fixed.Q20, fixed.Q24} {
 			for _, hidden := range []int{32, 64, 128, 192} {
 				c := NewCoreQ(5, hidden, 1, m.model, q)
+				c.EnableAccounting()
 				c.EnableProfiling()
+				for j := range c.Bias {
+					c.Bias[j] = q.One() // h = 1, so a poisoned P drives the denominator negative
+				}
 				x := profProbe(q, 5)
-
-				before := *c.Prof()
-				c.Predict(x)
-				d := c.Prof().Delta(before)
-				want := c.PredictKernelCycles()
-				for k := ProfKernel(0); k < NumProfKernels; k++ {
-					if got := d.KernelCycles(ProfPredict, k); got != want[k] {
-						t.Errorf("%s/%v/h=%d: predict kernel %v = %d cycles, analytic %d",
-							m.name, q, hidden, k, got, want[k])
+				tgt := []fixed.Fixed{q.FromFloat(0.25)}
+				check := func(what string, acct *fixed.Acct, run func()) {
+					t.Helper()
+					ops, prof, cyc := acct.Ops, *c.Prof(), c.Cycles()
+					run()
+					executed := acct.Ops - ops
+					d := c.Prof().Delta(prof)
+					if got := d.ArithOps(); got != executed {
+						t.Errorf("%s/%v/h=%d: %s charged %d ops, executed %d",
+							m.name, q, hidden, what, got, executed)
+					}
+					if got := c.Cycles() - cyc; m.name == "unit" && got != executed {
+						t.Errorf("%s/%v/h=%d: %s charged %d unit-latency cycles, executed %d ops",
+							m.name, q, hidden, what, got, executed)
 					}
 				}
-				if got := d.TotalCycles(); got != c.PredictCycles() {
-					t.Errorf("%s/%v/h=%d: predict attributed %d cycles, analytic %d",
-						m.name, q, hidden, got, c.PredictCycles())
-				}
-
-				before = *c.Prof()
-				c.SeqTrain(x, []fixed.Fixed{q.FromFloat(0.25)})
+				check("predict", c.PredictAcct(), func() { c.Predict(x) })
+				check("seq_train", c.SeqTrainAcct(), func() { c.SeqTrain(x, tgt) })
 				if c.DenomGuardTrips() != 0 {
 					t.Fatalf("%s/%v/h=%d: probe update tripped the guard", m.name, q, hidden)
 				}
-				d = c.Prof().Delta(before)
-				want = c.SeqTrainKernelCycles()
-				for k := ProfKernel(0); k < NumProfKernels; k++ {
-					if got := d.KernelCycles(ProfSeqTrain, k); got != want[k] {
-						t.Errorf("%s/%v/h=%d: seq_train kernel %v = %d cycles, analytic %d",
-							m.name, q, hidden, k, got, want[k])
-					}
+				for i := 0; i < hidden; i++ {
+					c.P.Set(i, i, -q.One())
 				}
-				if got := d.TotalCycles(); got != c.SeqTrainCycles() {
-					t.Errorf("%s/%v/h=%d: seq_train attributed %d cycles, analytic %d",
-						m.name, q, hidden, got, c.SeqTrainCycles())
-				}
-
-				// Whole-run invariant: every counted cycle is attributed.
-				if got, cyc := c.Prof().TotalCycles(), c.Cycles(); got != cyc {
-					t.Errorf("%s/%v/h=%d: ΣProf = %d, Cycles() = %d",
-						m.name, q, hidden, got, cyc)
+				check("rejected seq_train", c.SeqTrainAcct(), func() { c.SeqTrain(x, tgt) })
+				if c.DenomGuardTrips() != 1 {
+					t.Fatalf("%s/%v/h=%d: poisoned P did not trip the guard", m.name, q, hidden)
 				}
 			}
 		}
 	}
 }
 
-// TestProfAttributionOnTrainedCore repeats the invariant on a realistically
-// loaded core (trained float model, mixed predict/seq_train traffic) so
-// data-dependent paths cannot desynchronize counter and profile.
+// TestProfAttributionOnTrainedCore repeats the executed-work check on a
+// realistically loaded core (trained float model, mixed predict/seq_train
+// traffic): the ops charged across the whole run equal the ops executed.
 func TestProfAttributionOnTrainedCore(t *testing.T) {
 	m := trainedFloatModel(t, 32)
 	c := loadedCore(t, m)
 	c.EnableProfiling()
-	c.ResetCycles()
+	c.EnableAccounting()
 	for i := 0; i < 50; i++ {
 		x := profProbe(fixed.Q20, 5)
 		x[i%5] = fixed.FromFloat(float64(i)/64 - 0.4)
@@ -95,8 +88,8 @@ func TestProfAttributionOnTrainedCore(t *testing.T) {
 		c.Predict(x)
 		c.SeqTrain(x, []fixed.Fixed{fixed.FromFloat(0.5)})
 	}
-	if got, cyc := c.Prof().TotalCycles(), c.Cycles(); got != cyc {
-		t.Errorf("ΣProf = %d, Cycles() = %d", got, cyc)
+	if got, executed := c.Prof().ArithOps(), c.PredictAcct().Ops+c.SeqTrainAcct().Ops; got != executed {
+		t.Errorf("charged %d ops, executed %d", got, executed)
 	}
 	if trips := c.DenomGuardTrips(); trips != 0 {
 		t.Fatalf("healthy trained core tripped the guard %d times", trips)
@@ -293,9 +286,8 @@ func TestNoteTheta2Sync(t *testing.T) {
 	}
 }
 
-// TestDisabledProfilerAllocs: with profiling off, the hot path allocates
-// exactly as much as before the profiler existed — the off state must
-// cost zero extra bytes (the benchmark pair pins cycles-level overhead).
+// TestDisabledProfilerAllocs: SeqTrain allocates nothing, with profiling
+// off or on (the benchmark pair pins cycles-level overhead).
 func TestDisabledProfilerAllocs(t *testing.T) {
 	x := []fixed.Fixed{fixed.FromFloat(0.5), fixed.FromFloat(-0.25), fixed.FromFloat(0.125)}
 	tgt := []fixed.Fixed{fixed.FromFloat(0.1)}
@@ -306,13 +298,10 @@ func TestDisabledProfilerAllocs(t *testing.T) {
 	on.EnableProfiling()
 	allocsOn := testing.AllocsPerRun(100, func() { on.SeqTrain(x, tgt) })
 
-	// SeqTrain's only allocation is the gain scratch vector; the profiler
-	// must add none in either state.
-	if allocsOff != allocsOn {
-		t.Errorf("profiler changed SeqTrain allocations: off %v, on %v", allocsOff, allocsOn)
-	}
-	if allocsOff > 1 {
-		t.Errorf("SeqTrain allocates %v objects/op; expected at most the gain scratch", allocsOff)
+	// SeqTrain allocates nothing; the profiler must add nothing in either
+	// state.
+	if allocsOff != 0 || allocsOn != 0 {
+		t.Errorf("SeqTrain allocates %v objects/op with profiling off, %v on; want 0", allocsOff, allocsOn)
 	}
 }
 

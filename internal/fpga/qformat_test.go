@@ -63,8 +63,8 @@ func TestGoldenQ20ViaNewCoreQ(t *testing.T) {
 				t.Errorf("%v: P[%d][%d] = %d, want golden %d", q, i, i, got, wantPDiag[i])
 			}
 		}
-		if got := core.Cycles(); got != core.PredictCycles()+core.SeqTrainCycles() {
-			t.Errorf("%v: cycles = %d", q, got)
+		if got := core.Cycles(); got != 48+165 {
+			t.Errorf("%v: cycles = %d, want golden %d", q, got, 48+165)
 		}
 	}
 }
@@ -79,7 +79,7 @@ func TestFormatInvariants(t *testing.T) {
 		if c.BRAMWords() != ref.BRAMWords() {
 			t.Errorf("%v: BRAMWords = %d, want %d", q, c.BRAMWords(), ref.BRAMWords())
 		}
-		if c.PredictCycles() != ref.PredictCycles() || c.SeqTrainCycles() != ref.SeqTrainCycles() {
+		if c.KernelCosts() != ref.KernelCosts() {
 			t.Errorf("%v: cycle model changed with format", q)
 		}
 	}

@@ -42,7 +42,10 @@ func decodeMatrix(j *matrixJSON) (*mat.Dense, error) {
 	if j == nil {
 		return nil, nil
 	}
-	if j.Rows < 0 || j.Cols < 0 || len(j.Data) != j.Rows*j.Cols {
+	// Rows is checked against len(Data)/Cols before Rows*Cols is formed,
+	// so hostile dimensions cannot overflow the product to match.
+	if j.Rows < 0 || j.Cols < 0 || (j.Cols != 0 && j.Rows != len(j.Data)/j.Cols) ||
+		len(j.Data) != j.Rows*j.Cols {
 		return nil, fmt.Errorf("persist: matrix payload %dx%d with %d values",
 			j.Rows, j.Cols, len(j.Data))
 	}

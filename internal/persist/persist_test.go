@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,6 +220,11 @@ func TestDecodeMatrixErrors(t *testing.T) {
 	}
 	if _, err := decodeMatrix(&matrixJSON{Rows: -1, Cols: 2}); err == nil {
 		t.Error("negative dims must fail")
+	}
+	// Rows·Cols wraps to 0 in int, matching an empty payload.
+	huge := 1 << (bits.UintSize / 2)
+	if _, err := decodeMatrix(&matrixJSON{Rows: huge, Cols: huge}); err == nil {
+		t.Error("dims whose product overflows must fail")
 	}
 	m, err := decodeMatrix(nil)
 	if err != nil || m != nil {
