@@ -455,9 +455,19 @@ func BenchmarkFPGACoreKernels(b *testing.B) {
 			core := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel())
 			x := make([]fixed.Fixed, 5)
 			t := []fixed.Fixed{fixed.FromFloat(0.3)}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				core.SeqTrain(x, t)
+			}
+		})
+		b.Run(fmt.Sprintf("predict/%dunits", hidden), func(b *testing.B) {
+			core := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel())
+			x := make([]fixed.Fixed, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.Predict(x)
 			}
 		})
 	}

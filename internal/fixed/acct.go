@@ -7,9 +7,10 @@ import "math"
 // FromFloatQ take the format): how often an operation hit the saturation
 // rails, how many NaN inputs were coerced to zero at conversion, and how
 // much value was lost to rounding. A nil *Acct is the fully disabled
-// state — every method returns the plain package result at the cost of
-// one pointer comparison, no allocation and no atomics — the same
-// contract as obs.Tracer, pinned by an AllocsPerRun test.
+// state — every method returns the plain result at the cost of one
+// pointer comparison (per op, or per row for the row kernels), no
+// allocation and no atomics — the same contract as obs.Tracer, pinned by
+// an AllocsPerRun test.
 //
 // An Acct is NOT synchronized: each consumer (one fpga.Core phase, one
 // conversion site) owns its own accumulator, and aggregation happens at
@@ -63,7 +64,7 @@ func (a *Acct) SaturationRate() float64 {
 // saturated reports whether v clamps at the rails.
 func saturated(v int64) bool { return v > int64(Max) || v < int64(Min) }
 
-// Add is fixed.Add with accounting.
+// Add returns x + y with saturation, counting the op when a is non-nil.
 func (a *Acct) Add(x, y Fixed) Fixed {
 	v := int64(x) + int64(y)
 	if a != nil {
@@ -72,10 +73,10 @@ func (a *Acct) Add(x, y Fixed) Fixed {
 			a.Saturations++
 		}
 	}
-	return sat64(v)
+	return Fixed(clamp(v))
 }
 
-// Sub is fixed.Sub with accounting.
+// Sub returns x − y with saturation, counting the op when a is non-nil.
 func (a *Acct) Sub(x, y Fixed) Fixed {
 	v := int64(x) - int64(y)
 	if a != nil {
@@ -84,19 +85,14 @@ func (a *Acct) Sub(x, y Fixed) Fixed {
 			a.Saturations++
 		}
 	}
-	return sat64(v)
+	return Fixed(clamp(v))
 }
 
 // MulQ is QFormat.Mul with accounting: saturation at the rails plus the
-// rounding error of the 2⁻²ᶠ → 2⁻ᶠ shift. Nil-safe. The disabled path is
-// the datapath's hot loop: the default format takes the package Mul's
-// constant-shift body (bit-identical to q.Mul at f = 20; this is what
-// keeps the Q20 kernels at their pre-parameterization speed).
+// rounding error of the 2⁻²ᶠ → 2⁻ᶠ shift. Nil-safe. The datapath's loops
+// run through the row kernels (row.go), not through per-element calls.
 func (a *Acct) MulQ(q QFormat, x, y Fixed) Fixed {
 	if a == nil {
-		if q.Frac == FracBits || q.Frac == 0 {
-			return Mul(x, y)
-		}
 		return q.Mul(x, y)
 	}
 	f := q.frac()
@@ -105,7 +101,7 @@ func (a *Acct) MulQ(q QFormat, x, y Fixed) Fixed {
 	rounded := (prod + 1<<(f-1)) >> f
 	if saturated(rounded) {
 		a.Saturations++
-		return sat64(rounded)
+		return Fixed(clamp(rounded))
 	}
 	// Rounding error in real units: the exact product lives on the 2⁻²ᶠ
 	// grid, the result on the 2⁻ᶠ grid.
@@ -118,9 +114,6 @@ func (a *Acct) MulQ(q QFormat, x, y Fixed) Fixed {
 // quotient is accumulated otherwise. Nil-safe.
 func (a *Acct) DivQ(q QFormat, x, y Fixed) Fixed {
 	if a == nil {
-		if q.Frac == FracBits || q.Frac == 0 {
-			return Div(x, y)
-		}
 		return q.Div(x, y)
 	}
 	a.Ops++

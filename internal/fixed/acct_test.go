@@ -24,16 +24,16 @@ func TestAcctResultsIdentical(t *testing.T) {
 		{FromFloat(7), Fixed(0)},
 	}
 	for _, c := range cases {
-		if got, want := acct.Add(c.x, c.y), Add(c.x, c.y); got != want {
+		if got, want := acct.Add(c.x, c.y), plain.Add(c.x, c.y); got != want {
 			t.Errorf("Acct.Add(%v,%v) = %v, plain Add = %v", c.x, c.y, got, want)
 		}
-		if got, want := acct.Sub(c.x, c.y), Sub(c.x, c.y); got != want {
+		if got, want := acct.Sub(c.x, c.y), plain.Sub(c.x, c.y); got != want {
 			t.Errorf("Acct.Sub(%v,%v) = %v, plain Sub = %v", c.x, c.y, got, want)
 		}
-		if got, want := acct.MulQ(Q20, c.x, c.y), Mul(c.x, c.y); got != want {
+		if got, want := acct.MulQ(Q20, c.x, c.y), Q20.Mul(c.x, c.y); got != want {
 			t.Errorf("Acct.MulQ(%v,%v) = %v, plain Mul = %v", c.x, c.y, got, want)
 		}
-		if got, want := acct.DivQ(Q20, c.x, c.y), Div(c.x, c.y); got != want {
+		if got, want := acct.DivQ(Q20, c.x, c.y), Q20.Div(c.x, c.y); got != want {
 			t.Errorf("Acct.DivQ(%v,%v) = %v, plain Div = %v", c.x, c.y, got, want)
 		}
 	}
@@ -65,7 +65,7 @@ func TestAcctCounts(t *testing.T) {
 	a.Reset()
 	big := FromFloat(2000)
 	if got := a.MulQ(Q20, big, big); got != Fixed(Max) {
-		t.Fatalf("Mul(2000, 2000) = %v, want rail", got)
+		t.Fatalf("Q20.Mul(2000, 2000) = %v, want rail", got)
 	}
 	if a.Saturations != 1 || a.QuantErrAbs != 0 {
 		t.Fatalf("saturating mul must count a saturation and no quant error: %+v", a)
@@ -81,7 +81,7 @@ func TestAcctCounts(t *testing.T) {
 	// Division by zero saturates by convention.
 	a.Reset()
 	if got := a.DivQ(Q20, Fixed(One), 0); got != Fixed(Max) {
-		t.Fatalf("Div(1, 0) = %v, want Max", got)
+		t.Fatalf("Q20.Div(1, 0) = %v, want Max", got)
 	}
 	if a.Saturations != 1 {
 		t.Fatalf("div-by-zero not counted as saturation: %+v", a)

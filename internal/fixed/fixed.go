@@ -10,9 +10,11 @@
 // Quantize, One) interpret the same 32-bit words under any Qm.f layout.
 // The storage word stays 32 bits for every format — only the binary
 // point moves — so memory footprints (and the FPGA BRAM model) are
-// format-invariant. The package-level functions are the Q20 fast path; the
-// zero QFormat behaves identically to them, which keeps the default
-// datapath byte-compatible with the pre-parameterized golden vectors.
+// format-invariant. The zero QFormat is the Q20 default, which keeps the
+// default datapath byte-compatible with the golden vectors. Acct carries
+// the scalar ops (Add, Sub, MulQ, DivQ) and the row kernels the FPGA core
+// runs its loops through (Dot, AddScaled, SubScaled; row.go), with
+// optional numeric-health accounting.
 //
 // All operations saturate instead of wrapping: in the FPGA core an
 // overflowing accumulator clamps at the rails, and saturation is also what
@@ -54,8 +56,8 @@ const (
 // QFormat.Float for other layouts.
 type Fixed int32
 
-// FromFloat converts a float64 to fixed point with round-to-nearest
-// (ties toward +inf, matching Mul and Div) and saturation.
+// FromFloat converts a float64 to Q20 fixed point with round-to-nearest
+// (ties toward +inf, matching QFormat.Mul and Div) and saturation.
 //
 // Non-finite inputs follow the hardware AXI-boundary convention: NaN maps
 // to 0 (a NaN observation must not poison the BRAM state; the conversion
@@ -84,54 +86,13 @@ func (x Fixed) Float() float64 { return float64(x) / float64(One) }
 // String renders the value in decimal for debugging.
 func (x Fixed) String() string { return fmt.Sprintf("%.6f", x.Float()) }
 
-func sat64(v int64) Fixed {
-	if v > int64(Max) {
-		return Fixed(Max)
+// clamp saturates v to the int32 rails. It branches rather than selects,
+// which keeps unsaturated sums off an accumulator's dependency chain.
+func clamp(v int64) int64 {
+	if int64(int32(v)) != v {
+		return int64(Max) ^ v>>63 // Max above the rails, ^Max = Min below
 	}
-	if v < int64(Min) {
-		return Fixed(Min)
-	}
-	return Fixed(v)
-}
-
-// Add returns x + y with saturation.
-func Add(x, y Fixed) Fixed { return sat64(int64(x) + int64(y)) }
-
-// Sub returns x - y with saturation.
-func Sub(x, y Fixed) Fixed { return sat64(int64(x) - int64(y)) }
-
-// Mul returns x * y with a 64-bit intermediate, rounding and saturation —
-// the behaviour of a DSP48 multiply followed by a shift.
-func Mul(x, y Fixed) Fixed {
-	prod := int64(x) * int64(y)
-	// Arithmetic right shift rounds toward -inf; adding half first turns
-	// it into round-to-nearest (ties toward +inf) for either sign.
-	prod += 1 << (FracBits - 1)
-	return sat64(prod >> FracBits)
-}
-
-// Div returns x / y with saturation; division by zero saturates to the
-// rail matching the sign of x (hardware divider convention here).
-func Div(x, y Fixed) Fixed {
-	if y == 0 {
-		if x >= 0 {
-			return Fixed(Max)
-		}
-		return Fixed(Min)
-	}
-	num := int64(x) << FracBits
-	den := int64(y)
-	if den < 0 {
-		num, den = -num, -den
-	}
-	// floor(num/den + 1/2) = floor((2·num + den) / (2·den)): round to
-	// nearest with ties toward +inf, the same convention as Mul.
-	a, b := 2*num+den, 2*den
-	q := a / b
-	if a%b != 0 && a < 0 {
-		q-- // Go's integer division truncates toward zero; we need floor.
-	}
-	return sat64(q)
+	return v
 }
 
 // ReLU is the fixed-point activation used by the FPGA core.
@@ -164,7 +125,7 @@ var (
 )
 
 // DefaultFormat is the paper's §4.2 choice, the format the zero QFormat
-// and the package-level functions implement.
+// implements.
 var DefaultFormat = Q20
 
 // frac resolves the effective fraction width (the zero value means the
@@ -262,17 +223,19 @@ func (q QFormat) FromFloat(f float64) Fixed {
 // (multiplying by the exact 2^-f is the exact division by 2^f).
 func (q QFormat) Float(x Fixed) float64 { return float64(x) * invPow2[q.frac()&63] }
 
-// Mul is fixed.Mul under this format: 64-bit intermediate, half-LSB
-// pre-add rounding, saturation.
+// Mul returns x·y in this format: a 64-bit product, a half-LSB pre-add
+// and an arithmetic right shift by Frac (round-to-nearest, ties toward
+// +inf, for either sign), then saturation — a DSP48 multiply-shift.
 func (q QFormat) Mul(x, y Fixed) Fixed {
 	f := q.frac()
 	prod := int64(x) * int64(y)
 	prod += 1 << (f - 1)
-	return sat64(prod >> f)
+	return Fixed(clamp(prod >> f))
 }
 
-// Div is fixed.Div under this format; division by zero saturates to the
-// rail matching the sign of x.
+// Div returns x/y in this format, rounded to nearest (ties toward +inf)
+// and saturated; division by zero saturates to the rail matching the
+// sign of x (the hardware divider's convention).
 func (q QFormat) Div(x, y Fixed) Fixed {
 	f := q.frac()
 	if y == 0 {
@@ -286,12 +249,14 @@ func (q QFormat) Div(x, y Fixed) Fixed {
 	if den < 0 {
 		num, den = -num, -den
 	}
+	// floor(num/den + 1/2) = floor((2·num + den) / (2·den)): round to
+	// nearest with ties toward +inf, the same convention as Mul.
 	a, b := 2*num+den, 2*den
 	r := a / b
 	if a%b != 0 && a < 0 {
-		r--
+		r-- // Go's integer division truncates toward zero; we need floor.
 	}
-	return sat64(r)
+	return Fixed(clamp(r))
 }
 
 // Quantize rounds f to the format's grid with saturation at the 32-bit

@@ -8,6 +8,10 @@ import (
 	"oselmrl/internal/rng"
 )
 
+// plain is the disabled accumulator: its Add and Sub are the plain
+// saturating ops.
+var plain *Acct
+
 func TestFromFloatRoundTrip(t *testing.T) {
 	for _, v := range []float64{0, 1, -1, 0.5, -0.5, 1.25, 100.125, -2047, 2047} {
 		f := FromFloat(v)
@@ -42,24 +46,24 @@ func TestRoundingConventionUnified(t *testing.T) {
 		t.Errorf("FromFloat(-1.5 LSB) = %d, want -1 (ties toward +inf)", got)
 	}
 	// Mul ties: ±0.5 LSB products round toward +inf.
-	if got := Mul(Fixed(1), Fixed(1<<(FracBits-1))); got != Fixed(1) {
-		t.Errorf("Mul(+0.5 LSB tie) = %d, want 1", got)
+	if got := Q20.Mul(Fixed(1), Fixed(1<<(FracBits-1))); got != Fixed(1) {
+		t.Errorf("Q20.Mul(+0.5 LSB tie) = %d, want 1", got)
 	}
-	if got := Mul(Fixed(-1), Fixed(1<<(FracBits-1))); got != Fixed(0) {
-		t.Errorf("Mul(-0.5 LSB tie) = %d, want 0", got)
+	if got := Q20.Mul(Fixed(-1), Fixed(1<<(FracBits-1))); got != Fixed(0) {
+		t.Errorf("Q20.Mul(-0.5 LSB tie) = %d, want 0", got)
 	}
 	// Div ties: ±1.5 LSB quotients round toward +inf (the old code
 	// rounded half away from zero, giving -2 for the negative case).
 	two := FromFloat(2)
-	if got := Div(Fixed(3), two); got != Fixed(2) {
-		t.Errorf("Div(+1.5 LSB tie) = %d, want 2", got)
+	if got := Q20.Div(Fixed(3), two); got != Fixed(2) {
+		t.Errorf("Q20.Div(+1.5 LSB tie) = %d, want 2", got)
 	}
-	if got := Div(Fixed(-3), two); got != Fixed(-1) {
-		t.Errorf("Div(-1.5 LSB tie) = %d, want -1", got)
+	if got := Q20.Div(Fixed(-3), two); got != Fixed(-1) {
+		t.Errorf("Q20.Div(-1.5 LSB tie) = %d, want -1", got)
 	}
 	// Negative divisor: (-3)/(-2) = +1.5 LSB, still toward +inf.
-	if got := Div(Fixed(-3), -two); got != Fixed(2) {
-		t.Errorf("Div(-3, -2) = %d, want 2", got)
+	if got := Q20.Div(Fixed(-3), -two); got != Fixed(2) {
+		t.Errorf("Q20.Div(-3, -2) = %d, want 2", got)
 	}
 	// QFormat follows the same convention.
 	q := QFormat{Frac: FracBits}
@@ -79,7 +83,7 @@ func TestPropertyMulMatchesFromFloat(t *testing.T) {
 		r := rng.New(seed)
 		x := Fixed(r.Intn(1<<26) - 1<<25)
 		y := Fixed(r.Intn(1<<26) - 1<<25)
-		return Mul(x, y) == FromFloat(x.Float()*y.Float())
+		return Q20.Mul(x, y) == FromFloat(x.Float()*y.Float())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -103,28 +107,28 @@ func TestFromFloatSaturates(t *testing.T) {
 
 func TestAddSub(t *testing.T) {
 	a, b := FromFloat(1.5), FromFloat(2.25)
-	if got := Add(a, b).Float(); got != 3.75 {
+	if got := plain.Add(a, b).Float(); got != 3.75 {
 		t.Errorf("Add = %v", got)
 	}
-	if got := Sub(a, b).Float(); got != -0.75 {
+	if got := plain.Sub(a, b).Float(); got != -0.75 {
 		t.Errorf("Sub = %v", got)
 	}
 }
 
 func TestAddSaturates(t *testing.T) {
-	if Add(Fixed(Max), Fixed(One)) != Fixed(Max) {
+	if plain.Add(Fixed(Max), Fixed(One)) != Fixed(Max) {
 		t.Error("Add overflow must saturate")
 	}
-	if Sub(Fixed(Min), Fixed(One)) != Fixed(Min) {
+	if plain.Sub(Fixed(Min), Fixed(One)) != Fixed(Min) {
 		t.Error("Sub underflow must saturate")
 	}
 }
 
 func TestNeg(t *testing.T) {
-	if Sub(0, FromFloat(1.5)).Float() != -1.5 {
+	if plain.Sub(0, FromFloat(1.5)).Float() != -1.5 {
 		t.Error("0 - 1.5")
 	}
-	if Sub(0, Fixed(Min)) != Fixed(Max) {
+	if plain.Sub(0, Fixed(Min)) != Fixed(Max) {
 		t.Error("0 - Min must saturate to Max")
 	}
 }
@@ -138,18 +142,18 @@ func TestMulKnown(t *testing.T) {
 		{0, 100, 0},
 	}
 	for _, c := range cases {
-		if got := Mul(FromFloat(c.a), FromFloat(c.b)).Float(); got != c.want {
-			t.Errorf("Mul(%v, %v) = %v want %v", c.a, c.b, got, c.want)
+		if got := Q20.Mul(FromFloat(c.a), FromFloat(c.b)).Float(); got != c.want {
+			t.Errorf("Q20.Mul(%v, %v) = %v want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestMulSaturates(t *testing.T) {
 	big := FromFloat(2000)
-	if Mul(big, big) != Fixed(Max) {
+	if Q20.Mul(big, big) != Fixed(Max) {
 		t.Error("Mul overflow must saturate")
 	}
-	if Mul(big, -big) != Fixed(Min) {
+	if Q20.Mul(big, -big) != Fixed(Min) {
 		t.Error("Mul negative overflow must saturate")
 	}
 }
@@ -162,28 +166,28 @@ func TestDivKnown(t *testing.T) {
 		{0, 5, 0},
 	}
 	for _, c := range cases {
-		if got := Div(FromFloat(c.a), FromFloat(c.b)).Float(); got != c.want {
-			t.Errorf("Div(%v, %v) = %v want %v", c.a, c.b, got, c.want)
+		if got := Q20.Div(FromFloat(c.a), FromFloat(c.b)).Float(); got != c.want {
+			t.Errorf("Q20.Div(%v, %v) = %v want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestDivByZero(t *testing.T) {
-	if Div(FromFloat(1), 0) != Fixed(Max) {
+	if Q20.Div(FromFloat(1), 0) != Fixed(Max) {
 		t.Error("positive/0 must saturate to Max")
 	}
-	if Div(FromFloat(-1), 0) != Fixed(Min) {
+	if Q20.Div(FromFloat(-1), 0) != Fixed(Min) {
 		t.Error("negative/0 must saturate to Min")
 	}
 }
 
 func TestRecip(t *testing.T) {
-	if got := Div(Fixed(One), FromFloat(4)).Float(); got != 0.25 {
+	if got := Q20.Div(Fixed(One), FromFloat(4)).Float(); got != 0.25 {
 		t.Errorf("1/4 = %v", got)
 	}
 	// Reciprocal of a denominator >= 1, the OS-ELM case: 1/(1+hPh) <= 1.
 	d := FromFloat(1.7)
-	got := Div(Fixed(One), d).Float()
+	got := Q20.Div(Fixed(One), d).Float()
 	if math.Abs(got-1/1.7) > 2e-6 {
 		t.Errorf("1/1.7 = %v want %v", got, 1/1.7)
 	}
@@ -191,7 +195,7 @@ func TestRecip(t *testing.T) {
 
 func TestMulAcc(t *testing.T) {
 	acc := FromFloat(1)
-	acc = Add(acc, Mul(FromFloat(2), FromFloat(3)))
+	acc = plain.Add(acc, Q20.Mul(FromFloat(2), FromFloat(3)))
 	if acc.Float() != 7 {
 		t.Errorf("1 + 2·3 = %v", acc.Float())
 	}
@@ -213,7 +217,7 @@ func TestPropertyMulAccuracy(t *testing.T) {
 		r := rng.New(seed)
 		a := r.Uniform(-30, 30)
 		b := r.Uniform(-30, 30)
-		got := Mul(FromFloat(a), FromFloat(b)).Float()
+		got := Q20.Mul(FromFloat(a), FromFloat(b)).Float()
 		// Error sources: two input quantizations (each <= 2^-21 relative to
 		// the other operand) plus the product rounding.
 		tol := (math.Abs(a)+math.Abs(b))/float64(One)*2 + 2.0/float64(One)
@@ -231,7 +235,7 @@ func TestPropertyAddCommutative(t *testing.T) {
 		r := rng.New(seed)
 		a := FromFloat(r.Uniform(-500, 500))
 		b := FromFloat(r.Uniform(-500, 500))
-		return Add(a, b) == Add(b, a) && Sub(a, b) == Sub(0, Sub(b, a))
+		return plain.Add(a, b) == plain.Add(b, a) && plain.Sub(a, b) == plain.Sub(0, plain.Sub(b, a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

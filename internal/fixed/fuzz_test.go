@@ -1,6 +1,7 @@
 package fixed
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -17,9 +18,9 @@ func FuzzAddProperties(f *testing.F) {
 	f.Add(int32(123456), int32(-654321))
 	f.Fuzz(func(t *testing.T, a, b int32) {
 		x, y := Fixed(a), Fixed(b)
-		sum := Add(x, y)
+		sum := plain.Add(x, y)
 		// Commutativity.
-		if sum != Add(y, x) {
+		if sum != plain.Add(y, x) {
 			t.Fatal("Add not commutative")
 		}
 		// Saturation bounds.
@@ -39,7 +40,7 @@ func FuzzAddProperties(f *testing.F) {
 			}
 		}
 		// Sub is Add of the negation (away from the Min edge case).
-		if b != math.MinInt32 && Sub(x, y) != Add(x, -y) {
+		if b != math.MinInt32 && plain.Sub(x, y) != plain.Add(x, -y) {
 			t.Fatal("Sub != Add of the negation")
 		}
 	})
@@ -52,21 +53,21 @@ func FuzzMulAccuracy(f *testing.F) {
 	f.Add(int32(-1), int32(1<<30))
 	f.Fuzz(func(t *testing.T, a, b int32) {
 		x, y := Fixed(a), Fixed(b)
-		got := Mul(x, y)
+		got := Q20.Mul(x, y)
 		exact := x.Float() * y.Float()
 		switch {
 		case exact >= Fixed(Max).Float():
 			if got != Fixed(Max) {
-				t.Fatalf("Mul(%v, %v) must saturate high, got %v", x, y, got)
+				t.Fatalf("Q20.Mul(%v, %v) must saturate high, got %v", x, y, got)
 			}
 		case exact <= Fixed(Min).Float():
 			if got != Fixed(Min) {
-				t.Fatalf("Mul(%v, %v) must saturate low, got %v", x, y, got)
+				t.Fatalf("Q20.Mul(%v, %v) must saturate low, got %v", x, y, got)
 			}
 		default:
 			// Within one LSB of the exact product.
 			if math.Abs(got.Float()-exact) > 1.0/float64(One) {
-				t.Fatalf("Mul(%v, %v) = %v, exact %v", x, y, got, exact)
+				t.Fatalf("Q20.Mul(%v, %v) = %v, exact %v", x, y, got, exact)
 			}
 		}
 	})
@@ -78,7 +79,7 @@ func FuzzDivAccuracy(f *testing.F) {
 	f.Add(int32(1<<20), int32(0))
 	f.Fuzz(func(t *testing.T, a, b int32) {
 		x, y := Fixed(a), Fixed(b)
-		got := Div(x, y)
+		got := Q20.Div(x, y)
 		if y == 0 {
 			want := Fixed(Max)
 			if x < 0 {
@@ -101,7 +102,7 @@ func FuzzDivAccuracy(f *testing.F) {
 			}
 		default:
 			if math.Abs(got.Float()-exact) > 1.5/float64(One) {
-				t.Fatalf("Div(%v, %v) = %v, exact %v", x, y, got, exact)
+				t.Fatalf("Q20.Div(%v, %v) = %v, exact %v", x, y, got, exact)
 			}
 		}
 	})
@@ -119,6 +120,73 @@ func FuzzClampReLU(f *testing.F) {
 		}
 		if x > 0 && r != x {
 			t.Fatal("ReLU must pass positives")
+		}
+	})
+}
+
+// FuzzRowKernels checks each row kernel against its element-wise
+// reference — MulQ then Add (or Sub), one element at a time, in index
+// order — in every format from Q1 to Q30. With a nil Acct the results
+// must match bit for bit; with a non-nil one the results and every
+// counter (Ops, Saturations and QuantErrAbs, accumulated in the same
+// order) must match exactly. data packs the rows as little-endian int32
+// (x[i], y[i]) pairs.
+func FuzzRowKernels(f *testing.F) {
+	f.Add(uint8(20), int32(1<<20), int32(-3<<19), []byte("\x00\x00\x10\x00\x00\x00\x08\x00\xff\xff\xef\xff\x01\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, frac uint8, acc, s int32, data []byte) {
+		q := QFormat{Frac: 1 + uint(frac)%MaxFracBits}
+		n := len(data) / 8
+		x, y := make([]Fixed, n), make([]Fixed, n)
+		for i := range x {
+			x[i] = Fixed(binary.LittleEndian.Uint32(data[8*i:]))
+			y[i] = Fixed(binary.LittleEndian.Uint32(data[8*i+4:]))
+		}
+		for _, on := range []bool{false, true} {
+			var got, want *Acct
+			if on {
+				got, want = &Acct{}, &Acct{}
+			}
+			check := func(kernel string) {
+				t.Helper()
+				if on && *got != *want {
+					t.Fatalf("%s %s: counters %+v, element-wise %+v", q, kernel, *got, *want)
+				}
+			}
+
+			ref := Fixed(acc)
+			for i := range x {
+				ref = want.Add(ref, want.MulQ(q, x[i], y[i]))
+			}
+			if r := got.Dot(q, Fixed(acc), x, y); r != ref {
+				t.Fatalf("%s Dot = %d, element-wise %d", q, r, ref)
+			}
+			check("Dot")
+
+			for _, sub := range []bool{false, true} {
+				dst := append([]Fixed(nil), y...)
+				refDst := append([]Fixed(nil), y...)
+				kernel := "AddScaled"
+				if sub {
+					kernel = "SubScaled"
+					got.SubScaled(q, dst, Fixed(s), x)
+				} else {
+					got.AddScaled(q, dst, Fixed(s), x)
+				}
+				for i := range refDst {
+					p := want.MulQ(q, Fixed(s), x[i])
+					if sub {
+						refDst[i] = want.Sub(refDst[i], p)
+					} else {
+						refDst[i] = want.Add(refDst[i], p)
+					}
+				}
+				for i := range dst {
+					if dst[i] != refDst[i] {
+						t.Fatalf("%s %s[%d] = %d, element-wise %d", q, kernel, i, dst[i], refDst[i])
+					}
+				}
+				check(kernel)
+			}
 		}
 	})
 }

@@ -23,14 +23,14 @@ func TestNonFiniteConversionTable(t *testing.T) {
 		{"FromFloat(huge)", FromFloat(1e300), Fixed(Max)},
 		{"FromFloat(-huge)", FromFloat(-1e300), Fixed(Min)},
 		// NaN coerced to 0 then divided: 0/x = 0.
-		{"Div(FromFloat(NaN), 2)", Div(FromFloat(math.NaN()), FromFloat(2)), 0},
+		{"Q20.Div(FromFloat(NaN), 2)", Q20.Div(FromFloat(math.NaN()), FromFloat(2)), 0},
 		// Dividing by a coerced NaN (0) pins the rail matching the sign.
-		{"Div(1, FromFloat(NaN))", Div(Fixed(One), FromFloat(math.NaN())), Fixed(Max)},
-		{"Div(-1, FromFloat(NaN))", Div(-Fixed(One), FromFloat(math.NaN())), Fixed(Min)},
+		{"Q20.Div(1, FromFloat(NaN))", Q20.Div(Fixed(One), FromFloat(math.NaN())), Fixed(Max)},
+		{"Q20.Div(-1, FromFloat(NaN))", Q20.Div(-Fixed(One), FromFloat(math.NaN())), Fixed(Min)},
 		// Inf saturates at conversion, then divides like the rail value:
 		// Max/2 rounds half-up to 2³⁰, and 1/Max ≈ 2⁻¹¹ (512 LSBs).
-		{"Div(FromFloat(+Inf), 2)", Div(FromFloat(math.Inf(1)), FromFloat(2)), Fixed(1 << 30)},
-		{"Div(1, FromFloat(+Inf))", Div(Fixed(One), FromFloat(math.Inf(1))), Fixed(512)},
+		{"Q20.Div(FromFloat(+Inf), 2)", Q20.Div(FromFloat(math.Inf(1)), FromFloat(2)), Fixed(1 << 30)},
+		{"Q20.Div(1, FromFloat(+Inf))", Q20.Div(Fixed(One), FromFloat(math.Inf(1))), Fixed(512)},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

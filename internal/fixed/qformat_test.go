@@ -61,9 +61,9 @@ func TestFormatAgreementMul(t *testing.T) {
 }
 
 // TestQ20MethodsMatchPackageFunctions pins the zero/default format
-// bit-for-bit to the package-level Q20 fast path — the property that keeps
-// the refactored datapath byte-identical to the pre-parameterized golden
-// vectors.
+// bit-for-bit to Q20 and to the package-level Q20 conversions (FromFloat,
+// Fixed.Float) — the property that keeps the default datapath
+// byte-identical to the golden vectors.
 func TestQ20MethodsMatchPackageFunctions(t *testing.T) {
 	words := []Fixed{0, 1, -1, Fixed(One), -Fixed(One), 12345, -98765,
 		Fixed(One) / 3, Fixed(Max) / 2, Fixed(Min) / 2, Fixed(Max), Fixed(Min)}
@@ -72,10 +72,10 @@ func TestQ20MethodsMatchPackageFunctions(t *testing.T) {
 	for _, q := range []QFormat{{}, Q20, DefaultFormat} {
 		for _, x := range words {
 			for _, y := range words {
-				if got, want := q.Mul(x, y), Mul(x, y); got != want {
+				if got, want := q.Mul(x, y), Q20.Mul(x, y); got != want {
 					t.Fatalf("%s.Mul(%d, %d) = %d, package Mul = %d", q, x, y, got, want)
 				}
-				if got, want := q.Div(x, y), Div(x, y); got != want {
+				if got, want := q.Div(x, y), Q20.Div(x, y); got != want {
 					t.Fatalf("%s.Div(%d, %d) = %d, package Div = %d", q, x, y, got, want)
 				}
 			}

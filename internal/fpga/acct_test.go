@@ -126,23 +126,21 @@ func TestPredictSilent(t *testing.T) {
 }
 
 // TestDisabledAccountingPathDoesNotAllocate pins the disabled-path cost of
-// the datapath with accounting off: Predict's only allocation is its
-// output slice (1 per call), and SeqTrain allocates nothing (the gain
-// vector is core scratch).
+// the datapath with accounting and profiling off: Predict, PredictUsing
+// and SeqTrain run entirely in core scratch.
 func TestDisabledAccountingPathDoesNotAllocate(t *testing.T) {
 	core := goldenCore()
+	beta2 := core.Beta.Clone()
 	x := []fixed.Fixed{fixed.FromFloat(0.5), fixed.FromFloat(-0.25), fixed.FromFloat(0.125)}
 	tgt := []fixed.Fixed{fixed.FromFloat(0.9)}
-
-	if allocs := testing.AllocsPerRun(100, func() {
-		core.Predict(x)
-	}); allocs > 1 {
-		t.Errorf("disabled-accounting Predict allocates %g per run, want <= 1 (output slice)", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		core.SeqTrain(x, tgt)
-	}); allocs != 0 {
-		t.Errorf("disabled-accounting SeqTrain allocates %g per run, want 0", allocs)
+	for name, run := range map[string]func(){
+		"Predict":      func() { core.Predict(x) },
+		"PredictUsing": func() { core.PredictUsing(beta2, x) },
+		"SeqTrain":     func() { core.SeqTrain(x, tgt) },
+	} {
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("disabled-accounting %s allocates %g per run, want 0", name, allocs)
+		}
 	}
 }
 

@@ -48,8 +48,11 @@ type Agent struct {
 	counters    *timing.Counters
 	cycles      CycleModel
 	q           fixed.QFormat
-	scratch     []fixed.Fixed
 	exploreProb float64
+
+	// scratch holds the encoded (state, action) input and target the
+	// seq_train target, reused across calls.
+	scratch, target []fixed.Fixed
 
 	// obs receives structured events and metrics; nil disables.
 	obs *obs.Emitter
@@ -113,6 +116,7 @@ func NewAgentQ(cfg qnet.Config, cycles CycleModel, q fixed.QFormat) (*Agent, err
 		},
 	}
 	a.scratch = make([]fixed.Fixed, a.dims.In)
+	a.target = make([]fixed.Fixed, a.dims.Out)
 	a.bus = DefaultBus()
 	a.initModels()
 	return a, nil
@@ -424,7 +428,8 @@ func (a *Agent) sequentialUpdate(t replay.Transition) {
 	if kernelSpans {
 		profBefore = *a.core.Prof()
 	}
-	a.core.SeqTrain(in, []fixed.Fixed{a.q.FromFloat(y)})
+	a.target[0] = a.q.FromFloat(y)
+	a.core.SeqTrain(in, a.target)
 	cycles := float64(a.core.Cycles() - start)
 	a.counters.Add(timing.PhaseSeqTrain, cycles)
 	if kernelSpans {

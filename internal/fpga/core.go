@@ -85,17 +85,21 @@ type Core struct {
 	denomGuardTrips int64
 
 	// scratch vectors model the working BRAMs (h and P·h); g is the
-	// seq_train gain s·ph, which lives in register/LUTRAM scratch rather
-	// than a modelled BRAM bank (so BRAMWords leaves it out).
+	// seq_train gain s·ph, y the m-entry predict output and e the
+	// seq_train residual, which live in register/LUTRAM scratch rather
+	// than a modelled BRAM bank (so BRAMWords leaves them out).
 	h  []fixed.Fixed
 	ph []fixed.Fixed
 	g  []fixed.Fixed
+	y  []fixed.Fixed
+	e  []fixed.Fixed
 
 	// Numeric-health accounting. acct is the active accumulator during a
 	// module invocation (acctPredict inside Predict, acctSeq inside
 	// SeqTrain); acctConv accounts the LoadFloat quantization boundary.
 	// All nil when accounting is off — the datapath then pays one nil
-	// check per op and nothing else (pinned by the disabled-path tests).
+	// check per row kernel call and nothing else (pinned by the
+	// disabled-path tests).
 	acct        *fixed.Acct
 	acctPredict *fixed.Acct
 	acctSeq     *fixed.Acct
@@ -103,7 +107,7 @@ type Core struct {
 
 	// Device-level cycle profiler (prof.go); nil when profiling is off.
 	// It is charged from the schedule alongside the cycle counter, so
-	// the per-op helpers (add/sub/mul/div) carry neither cycle nor
+	// the arithmetic (fixed's row kernels) carries neither cycle nor
 	// profiler code.
 	prof *Prof
 }
@@ -137,6 +141,8 @@ func NewCoreQ(inputSize, hiddenSize, outputSize int, model CycleModel, q fixed.Q
 		h:          make([]fixed.Fixed, hiddenSize),
 		ph:         make([]fixed.Fixed, hiddenSize),
 		g:          make([]fixed.Fixed, hiddenSize),
+		y:          make([]fixed.Fixed, outputSize),
+		e:          make([]fixed.Fixed, outputSize),
 	}
 }
 
@@ -251,27 +257,20 @@ func (c *Core) charge(ph ProfPhase, steps []step) {
 	}
 }
 
-func (c *Core) add(a, b fixed.Fixed) fixed.Fixed { return c.acct.Add(a, b) }
-
-func (c *Core) sub(a, b fixed.Fixed) fixed.Fixed { return c.acct.Sub(a, b) }
-
-func (c *Core) mul(a, b fixed.Fixed) fixed.Fixed { return c.acct.MulQ(c.q, a, b) }
-
-func (c *Core) div(a, b fixed.Fixed) fixed.Fixed { return c.acct.DivQ(c.q, a, b) }
-
 // hidden computes h = ReLU(x·α + b) into c.h and records the x/α/bias/h
 // bank traffic: the input DMA'd into the x bank once, then x and α
-// streamed once per MAC.
+// streamed once per MAC. α is swept row by row, so each h[j] still
+// accumulates x[0]·α[0][j], x[1]·α[1][j], … in order from b[j].
 func (c *Core) hidden(x []fixed.Fixed) {
 	if len(x) != c.inputSize {
 		panic(fmt.Sprintf("fpga: input length %d, core expects %d", len(x), c.inputSize))
 	}
-	for j := 0; j < c.hiddenSize; j++ {
-		acc := c.Bias[j]
-		for i := 0; i < c.inputSize; i++ {
-			acc = c.add(acc, c.mul(x[i], c.Alpha.At(i, j)))
-		}
-		c.h[j] = fixed.ReLU(acc) // comparator, no arithmetic-unit cycle
+	copy(c.h, c.Bias)
+	for i, xi := range x {
+		c.acct.AddScaled(c.q, c.h, xi, c.Alpha.Row(i))
+	}
+	for j, v := range c.h {
+		c.h[j] = fixed.ReLU(v) // comparator, no arithmetic-unit cycle
 	}
 	n, h := int64(c.inputSize), int64(c.hiddenSize)
 	c.prof.access(BankX, BankWrite, n)
@@ -283,23 +282,27 @@ func (c *Core) hidden(x []fixed.Fixed) {
 
 // Predict runs the predict module: y = h·β for one input vector. The
 // output pass is attributed to the residual kernel — it is the same h·β
-// dot product the seq_train residual evaluates.
+// dot product the seq_train residual evaluates. The result is core
+// scratch, valid until the next call on the core.
 func (c *Core) Predict(x []fixed.Fixed) []fixed.Fixed {
 	c.acct = c.acctPredict
 	c.hidden(x)
-	out := make([]fixed.Fixed, c.outputSize)
-	for o := 0; o < c.outputSize; o++ {
-		var acc fixed.Fixed
-		for j := 0; j < c.hiddenSize; j++ {
-			acc = c.add(acc, c.mul(c.h[j], c.Beta.At(j, o)))
-		}
-		out[o] = acc
-	}
+	y := c.hBeta(c.y)
 	hn, m := int64(c.hiddenSize), int64(c.outputSize)
 	c.charge(ProfPredict, c.sched.predict)
 	c.prof.access(BankH, BankRead, m*hn)
 	c.prof.access(BankBeta, BankRead, m*hn)
-	return out
+	return y
+}
+
+// hBeta sets y = h·β, sweeping β row by row so each y[o] accumulates
+// h[0]·β[0][o], h[1]·β[1][o], … in order.
+func (c *Core) hBeta(y []fixed.Fixed) []fixed.Fixed {
+	clear(y)
+	for j, hj := range c.h {
+		c.acct.AddScaled(c.q, y, hj, c.Beta.Row(j))
+	}
+	return y
 }
 
 // PredictFloat is Predict with float64 conversion at the boundary (the
@@ -319,8 +322,13 @@ func (c *Core) PredictFloat(x []float64) []float64 {
 
 // PredictUsing runs the predict datapath with an alternative output-weight
 // BRAM — the target network θ2's β, which shares α and b with θ1 (α is
-// frozen; only β is trained). Cycle cost is identical to Predict.
+// frozen; only β is trained). Cycle cost is identical to Predict. Panics
+// unless beta is Ñ×m.
 func (c *Core) PredictUsing(beta *fixed.Matrix, x []fixed.Fixed) []fixed.Fixed {
+	if beta.Rows() != c.hiddenSize || beta.Cols() != c.outputSize {
+		panic(fmt.Sprintf("fpga: beta is %dx%d, core expects %dx%d",
+			beta.Rows(), beta.Cols(), c.hiddenSize, c.outputSize))
+	}
 	saved := c.Beta
 	c.Beta = beta
 	out := c.Predict(x)
@@ -356,7 +364,8 @@ func (c *Core) PredictSilent(x []fixed.Fixed) []fixed.Fixed {
 }
 
 // SeqTrain runs the seq_train module: one rank-1 OS-ELM update (Eq. 5 with
-// k = 1, the scalar-reciprocal form) entirely in Q20 fixed point:
+// k = 1, the scalar-reciprocal form) entirely in the core's fixed-point
+// format:
 //
 //	h   = ReLU(x·α + b)
 //	ph  = P·hᵀ
@@ -382,24 +391,18 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 	c.hidden(x)
 	n := c.hiddenSize
 	nn := int64(n) * int64(n)
+	h, ph, g := c.h, c.ph, c.g
 
 	// ph = P·hᵀ
-	for i := 0; i < n; i++ {
-		var acc fixed.Fixed
-		for j := 0; j < n; j++ {
-			acc = c.add(acc, c.mul(c.P.At(i, j), c.h[j]))
-		}
-		c.ph[i] = acc
+	for i := range ph {
+		ph[i] = c.acct.Dot(c.q, 0, c.P.Row(i), h)
 	}
 	c.prof.access(BankP, BankRead, nn)
 	c.prof.access(BankH, BankRead, nn)
 	c.prof.access(BankPH, BankWrite, int64(n))
 
 	// denom = 1 + h·ph ; s = 1/denom (the gain kernel's scalar path).
-	denom := c.one
-	for j := 0; j < n; j++ {
-		denom = c.add(denom, c.mul(c.h[j], c.ph[j]))
-	}
+	denom := c.acct.Dot(c.q, c.one, h, ph)
 	c.prof.access(BankH, BankRead, int64(n))
 	c.prof.access(BankPH, BankRead, int64(n))
 	// The steps up to the guard are charged first, so a rejected update
@@ -409,57 +412,37 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 		c.denomGuardTrips++
 		return
 	}
-	s := c.div(c.one, denom)
+	s := c.acct.DivQ(c.q, c.one, denom)
 
-	// g = s·ph (the Kalman-style gain, reused for both P and β updates)
-	g := c.g
-	for i := 0; i < n; i++ {
-		g[i] = c.mul(s, c.ph[i])
+	// g = s·ph (the Kalman-style gain, reused for both P and β updates),
+	// one entry per P row; P ← P − g·phᵀ. The transposed copy (Pt bank)
+	// is written alongside P to keep the ping-pong pair coherent for the
+	// next iteration's column sweep.
+	for i, v := range ph {
+		g[i] = c.acct.MulQ(c.q, s, v)
+		c.acct.SubScaled(c.q, c.P.Row(i), g[i], ph)
 	}
 	c.prof.access(BankPH, BankRead, int64(n))
-
-	// P ← P − g·phᵀ. The transposed copy (Pt bank) is written alongside
-	// P to keep the ping-pong pair coherent for the next iteration's
-	// column sweep.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c.P.Set(i, j, c.sub(c.P.At(i, j), c.mul(g[i], c.ph[j])))
-		}
-	}
 	c.prof.access(BankP, BankRead, nn)
 	c.prof.access(BankPH, BankRead, nn)
 	c.prof.access(BankP, BankWrite, nn)
 	c.prof.access(BankPt, BankWrite, nn)
 
-	// e = t − h·β ; β ← β + g·e
-	for o := 0; o < c.outputSize; o++ {
-		var pred fixed.Fixed
-		for j := 0; j < n; j++ {
-			pred = c.add(pred, c.mul(c.h[j], c.Beta.At(j, o)))
-		}
-		e := c.sub(t[o], pred)
-		for j := 0; j < n; j++ {
-			c.Beta.Set(j, o, c.add(c.Beta.At(j, o), c.mul(g[j], e)))
-		}
+	// e = t − h·β ; β ← β + g·e. All residuals are formed before β
+	// changes: each reads only its own β column, which no other
+	// column's update touches.
+	e := c.hBeta(c.e)
+	for o, v := range e {
+		e[o] = c.acct.Sub(t[o], v)
+	}
+	for j, gj := range g {
+		c.acct.AddScaled(c.q, c.Beta.Row(j), gj, e)
 	}
 	mn := int64(c.outputSize) * int64(n)
 	c.charge(ProfSeqTrain, c.sched.seqTrain[c.sched.bail:])
 	c.prof.access(BankH, BankRead, mn)
 	c.prof.access(BankBeta, BankRead, 2*mn) // residual read + update read-modify-write
 	c.prof.access(BankBeta, BankWrite, mn)
-}
-
-// SeqTrainFloat is SeqTrain with float64 conversion at the boundary.
-func (c *Core) SeqTrainFloat(x []float64, t []float64) {
-	in := make([]fixed.Fixed, len(x))
-	for i, v := range x {
-		in[i] = c.q.FromFloat(v)
-	}
-	tt := make([]fixed.Fixed, len(t))
-	for i, v := range t {
-		tt[i] = c.q.FromFloat(v)
-	}
-	c.SeqTrain(in, tt)
 }
 
 // BRAMWords returns the number of 32-bit words of on-chip state the core

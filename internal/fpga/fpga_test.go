@@ -70,7 +70,11 @@ func TestSeqTrainTracksFloat(t *testing.T) {
 		if err := m.SeqTrainOne(x, []float64{y}); err != nil {
 			t.Fatal(err)
 		}
-		c.SeqTrainFloat(x, []float64{y})
+		in := make([]fixed.Fixed, len(x))
+		for j, v := range x {
+			in[j] = fixed.FromFloat(v)
+		}
+		c.SeqTrain(in, []fixed.Fixed{fixed.FromFloat(y)})
 	}
 	probe := []float64{0.2, -0.3, 0.5, -0.1, 1}
 	d := math.Abs(m.PredictOne(probe)[0] - c.PredictFloat(probe)[0])

@@ -269,16 +269,6 @@ func (p *Prof) TotalCycles() int64 {
 	return t
 }
 
-// PhaseCycles sums one phase's attributed cycles.
-func (p *Prof) PhaseCycles(ph ProfPhase) int64 {
-	var t int64
-	base := profIndex(ph, 0, 0)
-	for i := 0; i < NumProfKernels*NumProfUnits; i++ {
-		t += p.cycles[base+i]
-	}
-	return t
-}
-
 // KernelCycles sums one (phase, kernel) row across units.
 func (p *Prof) KernelCycles(ph ProfPhase, k ProfKernel) int64 {
 	var t int64

@@ -140,7 +140,8 @@ func TestPredictSilentProfile(t *testing.T) {
 	profBefore := *core.Prof()
 	cyclesBefore := core.Cycles()
 
-	silent := core.PredictSilent(x)
+	// Predict's result is core scratch; keep a copy to compare.
+	silent := append([]fixed.Fixed(nil), core.PredictSilent(x)...)
 
 	if core.Cycles() != cyclesBefore {
 		t.Errorf("PredictSilent moved the cycle counter: %d -> %d", cyclesBefore, core.Cycles())
