@@ -304,6 +304,9 @@ func runPass(client *http.Client, targets []target, duration time.Duration, conc
 				case resp.StatusCode == http.StatusBadRequest:
 					res.errs++
 					eng.Record(slo.ClientError, queueMS, evalMS, totalMS)
+				case resp.StatusCode >= http.StatusInternalServerError:
+					res.errs++
+					eng.Record(slo.ServerError, queueMS, evalMS, totalMS)
 				default:
 					res.errs++
 					eng.Record(slo.Timeout, queueMS, 0, totalMS)
@@ -445,8 +448,8 @@ func gitSHA() string {
 // split quantiles (the Server-Timing decomposition) and each objective's
 // burn on the 5m window and over the whole run.
 func printSLO(r *slo.Report) {
-	fmt.Printf("slo: %d ok, %d client errors, %d shed, %d timeouts, %d slow\n",
-		r.OK, r.ClientErrors, r.Shed, r.Timeouts, r.SlowRequests)
+	fmt.Printf("slo: %d ok, %d client errors, %d shed, %d timeouts, %d server errors, %d slow\n",
+		r.OK, r.ClientErrors, r.Shed, r.Timeouts, r.ServerErrors, r.SlowRequests)
 	for _, d := range []struct {
 		name string
 		dist slo.Dist

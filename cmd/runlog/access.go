@@ -155,8 +155,8 @@ func runSLO(args []string) error {
 	if *jsonOut {
 		return writeJSONReport(os.Stdout, rep)
 	}
-	fmt.Printf("replayed %d requests: %d ok, %d client errors, %d shed, %d timeouts, %d slow\n",
-		total, rep.OK, rep.ClientErrors, rep.Shed, rep.Timeouts, rep.SlowRequests)
+	fmt.Printf("replayed %d requests: %d ok, %d client errors, %d shed, %d timeouts, %d server errors, %d slow\n",
+		total, rep.OK, rep.ClientErrors, rep.Shed, rep.Timeouts, rep.ServerErrors, rep.SlowRequests)
 	for _, d := range []struct {
 		name string
 		dist slo.Dist
@@ -208,6 +208,8 @@ func replaySLO(in io.Reader, obj slo.Objectives) (slo.Report, int, error) {
 			outcome = slo.Shed
 		case ev.Data["timeout"] == 1:
 			outcome = slo.Timeout
+		case ev.Data["status"] >= 500:
+			outcome = slo.ServerError
 		case ev.Data["status"] >= 400 && ev.Data["status"] < 500:
 			outcome = slo.ClientError
 		}

@@ -17,9 +17,13 @@
 // routes.
 //
 // Micro-batching: -batch-window coalesces in-flight evaluations per
-// tenant into one GEMM (up to -batch-max per flush). Answers are
-// bit-identical to the per-request path; throughput rises because the
-// matrix-matrix product amortizes per-request dispatch.
+// tenant into one GEMM (up to -batch-max per flush). A batch flushes as
+// soon as no other request for the tenant is inside the server, so a
+// request with no peer in flight is evaluated at once; the window only
+// bounds waiting for requests already in admission or decode. Answers
+// are bit-identical to the per-request path; under concurrent load
+// throughput rises because the matrix-matrix product amortizes
+// per-request dispatch.
 //
 // Hot-reload: SIGHUP re-reads every checkpoint and swaps each in
 // atomically (zero dropped requests); -watch POLLS each file's content
@@ -93,7 +97,7 @@ func run() int {
 	pool := flag.Int("pool", 0, "max concurrent evaluations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max requests waiting beyond the pool before 429 (0 = 4x pool, -1 = none)")
 	timeout := flag.Duration("timeout", time.Second, "per-request budget including queue wait")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch in-flight evaluations per tenant for this window (0 = off)")
+	batchWindow := flag.Duration("batch-window", 0, "micro-batch in-flight evaluations per tenant, waiting at most this long for requests already in the server (0 = off)")
 	batchMax := flag.Int("batch-max", 16, "max evaluations per micro-batch flush (with -batch-window)")
 	watch := flag.Duration("watch", 0, "poll every checkpoint's content fingerprint at this interval and hot-reload on change (0 = off; SIGHUP always reloads)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget for in-flight requests")

@@ -35,6 +35,10 @@ const (
 	// Timeout is a request admitted to the queue but shed because its
 	// request budget expired before a worker freed up.
 	Timeout
+	// ServerError is a request answered 500 because the server failed
+	// while evaluating it (a recovered panic) — the server's fault, so
+	// it consumes availability budget.
+	ServerError
 )
 
 // Objectives declares the service-level objectives the engine evaluates.
@@ -47,8 +51,9 @@ type Objectives struct {
 	// latency error budget; the budget fraction is 1−0.99.
 	LatencyP99MS float64 `json:"latency_p99_ms,omitempty"`
 	// Availability declares the fraction of availability-eligible
-	// requests (everything except client errors) that must not be shed
-	// or timed out, e.g. 0.999. 0 disables the availability objective.
+	// requests (everything except client errors) that must not be shed,
+	// timed out or fail with a server error, e.g. 0.999. 0 disables the
+	// availability objective.
 	Availability float64 `json:"availability,omitempty"`
 }
 
@@ -97,7 +102,7 @@ type bucket struct {
 	total int64     // all requests
 	slow  int64     // OK requests over the latency threshold
 	avail int64     // availability-eligible requests (not client errors)
-	bad   int64     // shed + timeout requests
+	bad   int64     // shed, timed-out and server-error requests
 }
 
 // window is a ring of fixed-width buckets covering span seconds.
@@ -249,7 +254,7 @@ type Engine struct {
 	long     *window
 	started  time.Time
 	requests int64
-	outcomes [4]int64 // indexed by Outcome
+	outcomes [5]int64 // indexed by Outcome
 	slow     int64    // lifetime latency-threshold breaches
 	totalMS  *hist
 	queueMS  *hist
@@ -341,14 +346,14 @@ func (e *Engine) Record(o Outcome, queueMS, evalMS, totalMS float64) {
 		}
 		if o != ClientError {
 			b.avail++
-			if o == Shed || o == Timeout {
+			if o == Shed || o == Timeout || o == ServerError {
 				b.bad++
 			}
 		}
 	}
 	e.totalMS.observe(totalMS)
 	e.queueMS.observe(queueMS)
-	if o == OK || o == ClientError {
+	if o == OK || o == ClientError || o == ServerError {
 		e.evalMS.observe(evalMS)
 	}
 	e.mu.Unlock()
@@ -395,12 +400,13 @@ type Report struct {
 	// UptimeSeconds is the observation span so far.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Requests counts every recorded request; OK/ClientErrors/Shed/
-	// Timeouts break it down.
+	// Timeouts/ServerErrors break it down.
 	Requests     int64 `json:"requests"`
 	OK           int64 `json:"ok"`
 	ClientErrors int64 `json:"client_errors"`
 	Shed         int64 `json:"shed"`
 	Timeouts     int64 `json:"timeouts"`
+	ServerErrors int64 `json:"server_errors"`
 	// SlowRequests counts lifetime latency-threshold breaches.
 	SlowRequests int64 `json:"slow_requests"`
 	// TotalMS, QueueMS and EvalMS are the lifetime latency distributions
@@ -479,6 +485,7 @@ func (e *Engine) Report() Report {
 		ClientErrors:  e.outcomes[ClientError],
 		Shed:          e.outcomes[Shed],
 		Timeouts:      e.outcomes[Timeout],
+		ServerErrors:  e.outcomes[ServerError],
 		SlowRequests:  e.slow,
 		TotalMS:       e.totalMS.dist(),
 		QueueMS:       e.queueMS.dist(),
@@ -488,7 +495,7 @@ func (e *Engine) Report() Report {
 	lt, ls, la, lb := e.long.sum(now)
 	rep.Window5m = e.windowReport(ShortWindow.Seconds(), st, ss, sa, sb)
 	rep.Window1h = e.windowReport(LongWindow.Seconds(), lt, ls, la, lb)
-	bad := e.outcomes[Shed] + e.outcomes[Timeout]
+	bad := e.outcomes[Shed] + e.outcomes[Timeout] + e.outcomes[ServerError]
 	rep.Overall = e.windowReport(rep.UptimeSeconds, e.requests,
 		e.slow, e.requests-e.outcomes[ClientError], bad)
 	if e.fastBurning(rep.Window5m.Latency, rep.Window1h.Latency) {

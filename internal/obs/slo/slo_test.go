@@ -90,6 +90,26 @@ func TestClientErrorsConsumeNoBudget(t *testing.T) {
 	}
 }
 
+func TestServerErrorsConsumeBudget(t *testing.T) {
+	e, _ := newTestEngine(DefaultObjectives())
+	for i := 0; i < 9; i++ {
+		e.Record(OK, 0.1, 0.1, 0.2)
+	}
+	e.Record(ServerError, 0.1, 0.3, 0.5)
+	rep := e.Report()
+	if rep.ServerErrors != 1 || rep.OK != 9 {
+		t.Fatalf("outcomes: %+v", rep)
+	}
+	for name, av := range map[string]*Burn{"5m": rep.Window5m.Availability, "overall": rep.Overall.Availability} {
+		if av == nil || av.Requests != 10 || av.Bad != 1 {
+			t.Errorf("%s: a server error must consume availability budget: %+v", name, av)
+		}
+	}
+	if rep.EvalMS.N != 10 {
+		t.Errorf("eval distribution has %d samples; a server error reached evaluation", rep.EvalMS.N)
+	}
+}
+
 func TestQuantileSplit(t *testing.T) {
 	e, _ := newTestEngine(DefaultObjectives())
 	for i := 0; i < 100; i++ {

@@ -2,23 +2,78 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"oselmrl/internal/obs"
+	"oselmrl/internal/obs/slo"
 	"oselmrl/internal/rng"
 )
 
-// tenantItem submits one hand-built item to a tenant's collector and
-// returns its reply — the deterministic way to exercise batch boundaries.
+// tenantItem builds one item for a tenant's collector — submitting
+// hand-built items is the deterministic way to exercise batch boundaries.
 func tenantItem(state []float64, includeQ bool) *batchItem {
 	return &batchItem{state: state, includeQ: includeQ, out: make(chan batchOut, 1)}
+}
+
+// park registers an item as arriving, as handleEval does on entry, and
+// submits it.
+func park(t *testing.T, b *batcher, it *batchItem) {
+	t.Helper()
+	b.arriving.Add(1)
+	if !b.submit(it) {
+		t.Fatal("submit refused")
+	}
+}
+
+// parkFull parks a full batch (len(items) == BatchMax) so that it forms
+// one batch. Every item is registered as arriving before any is
+// submitted, so the collector waits for the rest instead of flushing what
+// it has taken so far. One extra arrival is held until all are submitted:
+// it covers the last item between the end of its arrival and its parking.
+// The batch then flushes because it is full.
+func parkFull(t *testing.T, b *batcher, items ...*batchItem) {
+	t.Helper()
+	if len(items) != b.max {
+		t.Fatalf("parkFull needs %d items, got %d", b.max, len(items))
+	}
+	b.arriving.Add(int64(len(items)) + 1)
+	defer b.arriving.Add(-1)
+	for _, it := range items {
+		if !b.submit(it) {
+			t.Fatal("submit refused")
+		}
+	}
+}
+
+// wantPerRequestQ asserts q is bit-identical to the per-request
+// evaluator's answer for state.
+func wantPerRequestQ(t *testing.T, s *Service, state, q []float64) {
+	t.Helper()
+	p := s.def.Policy()
+	ev := p.acquire()
+	defer p.release(ev)
+	want, err := ev.QValues(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q) != len(want) {
+		t.Fatalf("q has %d values, per-request path %d", len(q), len(want))
+	}
+	for i := range want {
+		if q[i] != want[i] {
+			t.Fatalf("q[%d] = %v, per-request path %v", i, q[i], want[i])
+		}
+	}
 }
 
 // Reaching BatchMax must flush immediately, long before the window.
@@ -30,10 +85,8 @@ func TestBatchMaxSizeFlush(t *testing.T) {
 	items := make([]*batchItem, 4)
 	for i := range items {
 		items[i] = tenantItem([]float64{float64(i), 0, 0, 0}, true)
-		if !b.submit(items[i]) {
-			t.Fatal("submit refused")
-		}
 	}
+	parkFull(t, b, items...)
 	for i, it := range items {
 		bo := <-it.out
 		if bo.err != nil {
@@ -48,17 +101,43 @@ func TestBatchMaxSizeFlush(t *testing.T) {
 	}
 }
 
-// A lone request is flushed by window expiry and takes the per-request
-// fallthrough (batch size 1) with the exact per-request Q values.
-func TestBatchWindowExpiryAndSingleFallthrough(t *testing.T) {
-	s, _ := newTestService(t, Config{BatchWindow: 20 * time.Millisecond, BatchMax: 64, Obs: obs.NewEmitter(nil)})
+// A lone request with no peer on its way is flushed at once, not when the
+// window expires, and takes the per-request fallthrough (batch size 1)
+// with the exact per-request Q values.
+func TestBatchLoneItemFlushesAtOnce(t *testing.T) {
+	s, _ := newTestService(t, Config{BatchWindow: 5 * time.Second, BatchMax: 64, Obs: obs.NewEmitter(nil)})
 	defer s.Close()
 	state := []float64{0.3, -0.1, 0.8, 0.2}
 	it := tenantItem(state, true)
 	start := time.Now()
-	if !s.def.batch.submit(it) {
-		t.Fatal("submit refused")
+	park(t, s.def.batch, it)
+	bo := <-it.out
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("lone item flushed after %v; it must not wait for the 5s window", elapsed)
 	}
+	if bo.err != nil {
+		t.Fatal(bo.err)
+	}
+	if bo.size != 1 {
+		t.Errorf("batch size %d, want 1", bo.size)
+	}
+	wantPerRequestQ(t, s, state, bo.q)
+}
+
+// While a peer is still on its way (registered as arriving but never
+// submitted), a lone request waits for it — but only for the window,
+// which still caps the wait. It then takes the per-request fallthrough
+// (batch size 1) with the exact per-request Q values.
+func TestBatchWindowExpiryAndSingleFallthrough(t *testing.T) {
+	s, _ := newTestService(t, Config{BatchWindow: 20 * time.Millisecond, BatchMax: 64, Obs: obs.NewEmitter(nil)})
+	defer s.Close()
+	b := s.def.batch
+	b.arriving.Add(1) // the peer that never arrives
+	defer b.arriving.Add(-1)
+	state := []float64{0.3, -0.1, 0.8, 0.2}
+	it := tenantItem(state, true)
+	start := time.Now()
+	park(t, b, it)
 	bo := <-it.out
 	if bo.err != nil {
 		t.Fatal(bo.err)
@@ -69,19 +148,7 @@ func TestBatchWindowExpiryAndSingleFallthrough(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond || elapsed > 2*time.Second {
 		t.Errorf("flush after %v, want ≈ the 20ms window", elapsed)
 	}
-	// Bit-identical to the per-request evaluator path.
-	p := s.def.Policy()
-	ev := p.acquire()
-	defer p.release(ev)
-	want, err := ev.QValues(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if bo.q[i] != want[i] {
-			t.Fatalf("q[%d] = %v, per-request path %v", i, bo.q[i], want[i])
-		}
-	}
+	wantPerRequestQ(t, s, state, bo.q)
 }
 
 // An item whose state is stale for the current policy (the reload-
@@ -94,11 +161,7 @@ func TestBatchMixedValidityItems(t *testing.T) {
 	good1 := tenantItem([]float64{0.1, 0.2, 0.3, 0.4}, true)
 	bad := tenantItem([]float64{1, 2}, true) // wrong length for the 4-dim policy
 	good2 := tenantItem([]float64{-0.4, 0.3, -0.2, 0.1}, true)
-	for _, it := range []*batchItem{good1, bad, good2} {
-		if !s.def.batch.submit(it) {
-			t.Fatal("submit refused")
-		}
-	}
+	parkFull(t, s.def.batch, good1, bad, good2)
 	if bo := <-bad.out; bo.err == nil {
 		t.Error("stale-shape item must error")
 	} else if bo.err.Error() != "qnet: state has 2 features, model expects 4" {
@@ -470,5 +533,215 @@ func TestAccessEventTenantAndBatchFields(t *testing.T) {
 	}
 	if evs[0].Data["batch"] < 1 {
 		t.Errorf("batch field %v", evs[0].Data["batch"])
+	}
+}
+
+// Every handleEval exit path leaves the tenant's arrival count exactly
+// once. A leaked count would turn every later flush into a full-window
+// wait; a double decrement would hide real arrivals from the collector.
+func TestArrivalCountDoesNotLeak(t *testing.T) {
+	dir := t.TempDir()
+	ckptA := filepath.Join(dir, "a.json")
+	ckptQ := filepath.Join(dir, "q.json")
+	writeCheckpoint(t, ckptA, makeAgent(t, 8, 1))
+	writeCheckpoint(t, ckptQ, makeAgent(t, 8, 2))
+	s, err := New(Config{
+		Policies:    map[string]string{"alpha": ckptA, "quota": ckptQ},
+		Quotas:      map[string]float64{"quota": 0.001}, // burst 1, ~no refill
+		Pool:        1,
+		Queue:       1,
+		Timeout:     50 * time.Millisecond,
+		BatchWindow: 5 * time.Second,
+		BatchMax:    8,
+		Obs:         obs.NewEmitter(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	alpha, _ := s.Tenant("alpha")
+	quota, _ := s.Tenant("quota")
+	check := func(path string) {
+		t.Helper()
+		for _, tn := range []*Tenant{alpha, quota} {
+			if n := tn.batch.arriving.Load(); n != 0 {
+				t.Fatalf("after %s: tenant %s arriving = %d, want 0", path, tn.name, n)
+			}
+		}
+	}
+	expect := func(path string, w *httptest.ResponseRecorder, code int) {
+		t.Helper()
+		if w.Code != code {
+			t.Fatalf("%s: status %d, want %d: %s", path, w.Code, code, w.Body)
+		}
+		check(path)
+	}
+	state := []float64{0.1, 0.2, 0.3, 0.4}
+
+	expect("200", postPredict(h, "/v1/t/alpha/predict", state), http.StatusOK)
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/t/alpha/predict", strings.NewReader("{"))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	expect("bad body", w, http.StatusBadRequest)
+
+	expect("wrong width", postPredict(h, "/v1/t/alpha/predict", []float64{1, 2}), http.StatusBadRequest)
+
+	// Hold the only worker: the next request waits in the one queue slot
+	// until its budget expires (timeout 429), the one after finds the
+	// queue full (shed 429).
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s.testHookEval = func() {
+		select {
+		case entered <- struct{}{}:
+			<-release
+		default:
+		}
+	}
+	held := make(chan *httptest.ResponseRecorder, 1)
+	go func() { held <- postPredict(h, "/v1/t/alpha/predict", state) }()
+	<-entered
+	timedOut := make(chan *httptest.ResponseRecorder, 1)
+	go func() { timedOut <- postPredict(h, "/v1/t/alpha/predict", state) }()
+	for len(s.queue) == 0 { // wait until it holds the queue slot
+		time.Sleep(100 * time.Microsecond)
+	}
+	if w := postPredict(h, "/v1/t/alpha/predict", state); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("shed: status %d", w.Code)
+	}
+	if w := <-timedOut; w.Code != http.StatusTooManyRequests {
+		t.Fatalf("timeout: status %d", w.Code)
+	}
+	close(release)
+	expect("shed, timeout and the held 200", <-held, http.StatusOK)
+	snap := s.obs.Metrics().Snapshot()
+	if snap.Counter(MetricShed) != 1 || snap.Counter(MetricTimeout) != 1 {
+		t.Fatalf("shed=%d timeouts=%d, want 1 each", snap.Counter(MetricShed), snap.Counter(MetricTimeout))
+	}
+
+	expect("quota 200", postPredict(h, "/v1/t/quota/predict", state), http.StatusOK)
+	expect("quota 429", postPredict(h, "/v1/t/quota/predict", state), http.StatusTooManyRequests)
+
+	s.Close()
+	expect("inline fallback after Close", postPredict(h, "/v1/t/alpha/predict", state), http.StatusOK)
+}
+
+// A panic in one tenant's batched evaluation costs that batch a 500 each
+// and nothing else: the collector keeps serving the same tenant, the
+// other tenant is untouched, and the panic is counted and booked against
+// the availability SLO.
+func TestBatchPanicIsolation(t *testing.T) {
+	dir := t.TempDir()
+	ckptA := filepath.Join(dir, "a.json")
+	ckptB := filepath.Join(dir, "b.json")
+	writeCheckpoint(t, ckptA, makeAgent(t, 8, 1))
+	writeCheckpoint(t, ckptB, makeAgent(t, 8, 2))
+	em := obs.NewEmitter(nil)
+	eng := slo.NewEngine(slo.DefaultObjectives())
+	s, err := New(Config{
+		Policies:    map[string]string{"alpha": ckptA, "beta": ckptB},
+		Pool:        4,
+		BatchWindow: 5 * time.Second,
+		BatchMax:    3,
+		Obs:         em,
+		SLO:         eng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var panicked atomic.Bool
+	s.testHookFlush = func(tn *Tenant) {
+		if tn.name == "alpha" && panicked.CompareAndSwap(false, true) {
+			panic("injected evaluation fault")
+		}
+	}
+	// The first three alpha requests wait for each other after decode,
+	// so they park together. A phantom arrival, held until all three are
+	// answered, keeps the collector from flushing part of them: the batch
+	// flushes because it is full.
+	alpha, _ := s.Tenant("alpha")
+	alpha.batch.arriving.Add(1)
+	var barrier sync.WaitGroup
+	barrier.Add(3)
+	var entered atomic.Int32
+	s.testHookEval = func() {
+		if entered.Add(1) <= 3 {
+			barrier.Done()
+			barrier.Wait()
+		}
+	}
+	h := s.Handler()
+	state := []float64{0.1, 0.2, 0.3, 0.4}
+	codes := make(chan int, 3)
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes <- postPredict(h, "/v1/t/alpha/predict", state).Code
+		}()
+	}
+	wg.Wait()
+	alpha.batch.arriving.Add(-1)
+	close(codes)
+	for code := range codes {
+		if code != http.StatusInternalServerError {
+			t.Fatalf("request in the panicking batch: status %d, want 500", code)
+		}
+	}
+	for _, path := range []string{"/v1/t/alpha/predict", "/v1/t/beta/predict"} {
+		if w := postPredict(h, path, state); w.Code != http.StatusOK {
+			t.Fatalf("%s after the panic: status %d: %s", path, w.Code, w.Body)
+		}
+	}
+	snap := em.Metrics().Snapshot()
+	if n := snap.Counter(MetricPanics); n != 1 {
+		t.Errorf("serve_panics = %d, want 1", n)
+	}
+	if n := snap.Counter(obs.Labeled(MetricPanics, "tenant", "alpha")); n != 1 {
+		t.Errorf("alpha serve_panics = %d, want 1", n)
+	}
+	if h := snap.Histograms[obs.Labeled(HistBatchSize, "tenant", "alpha")]; h == nil || h.Max != 3 {
+		t.Errorf("alpha batch sizes %+v, want the panicking batch of 3", h)
+	}
+	if n := snap.Counter(MetricErrors); n != 0 {
+		t.Errorf("serve_errors = %d; a server fault is not a client error", n)
+	}
+	rep := eng.Report()
+	if rep.ServerErrors != 3 || rep.OK != 2 {
+		t.Errorf("slo outcomes %+v, want 3 server errors and 2 ok", rep)
+	}
+	if av := rep.Overall.Availability; av == nil || av.Bad != 3 {
+		t.Errorf("server errors must consume availability budget: %+v", av)
+	}
+}
+
+// A panicking flush answers each of its items exactly once: items it had
+// already answered (a stale-width item) keep their answer, the rest get
+// the internal error.
+func TestBatchPanicAnswersEachItemOnce(t *testing.T) {
+	s, _ := newTestService(t, Config{BatchWindow: 5 * time.Second, BatchMax: 3, Obs: obs.NewEmitter(nil)})
+	defer s.Close()
+	s.testHookFlush = func(*Tenant) { panic("injected evaluation fault") }
+	good1 := tenantItem([]float64{0.1, 0.2, 0.3, 0.4}, true)
+	bad := tenantItem([]float64{1, 2}, true)
+	good2 := tenantItem([]float64{-0.4, 0.3, -0.2, 0.1}, true)
+	parkFull(t, s.def.batch, good1, bad, good2)
+	if bo := <-bad.out; bo.err == nil || errors.Is(bo.err, errEvalPanic) {
+		t.Errorf("stale-width item answered %v, want its own width error", bo.err)
+	}
+	for i, it := range []*batchItem{good1, good2} {
+		if bo := <-it.out; !errors.Is(bo.err, errEvalPanic) {
+			t.Errorf("item %d answered %v, want errEvalPanic", i, bo.err)
+		}
+	}
+	s.Close() // no flush can run after this
+	for i, it := range []*batchItem{good1, bad, good2} {
+		if len(it.out) != 0 {
+			t.Errorf("item %d answered twice", i)
+		}
 	}
 }

@@ -1,9 +1,17 @@
 package serve
 
 import (
+	"errors"
+	"log"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// errEvalPanic answers every still-unanswered item of a flush whose
+// evaluation panicked; the handler maps it to 500.
+var errEvalPanic = errors.New("serve: internal error evaluating batch")
 
 // batchOut is one request's answer from a batch flush. q is a copy owned
 // by the request (the evaluator's row is reused on the next flush).
@@ -22,16 +30,27 @@ type batchItem struct {
 	state    []float64
 	includeQ bool
 	out      chan batchOut
+	answered bool // set by the collector on reply; only it reads it
 }
 
-// batcher micro-batches one tenant's predict/act evaluations: requests
-// accumulate for at most `window` (started at the first item) or until
-// `max` items are parked, then the whole batch runs as a single GEMM
+// reply sends the item its one answer.
+func (it *batchItem) reply(bo batchOut) {
+	it.answered = true
+	it.out <- bo
+}
+
+// batcher micro-batches one tenant's predict/act evaluations. A batch
+// flushes as soon as nothing else can join it: when `max` items are
+// parked, or when no other request for the tenant is inside the handler
+// (arriving is 0). A request with no peer in flight is therefore evaluated
+// at once. Otherwise the batch waits for those arriving requests, for at
+// most `window` from its first item. The whole batch runs as a single GEMM
 // through qnet.Evaluator.QValuesBatch. Row i of that GEMM is bit-identical
 // to the per-request QValues path, so batching changes latency and
 // throughput but never an answer. A single-element flush falls through to
 // the per-request path. One collector goroutine per tenant serializes that
-// tenant's evaluations — the batch itself is the parallelism.
+// tenant's evaluations — the batch itself is the parallelism. A panic
+// during one flush costs that batch a 500 each, never the collector.
 type batcher struct {
 	svc    *Service
 	t      *Tenant
@@ -41,6 +60,11 @@ type batcher struct {
 	stop   chan struct{}
 	done   chan struct{}
 	once   sync.Once
+
+	// arriving counts the tenant's requests that have entered handleEval
+	// but not yet reached submit. Every handler path leaves it exactly
+	// once: through submit, or on an early exit before it.
+	arriving atomic.Int64
 }
 
 func newBatcher(svc *Service, t *Tenant, window time.Duration, max int) *batcher {
@@ -57,10 +81,28 @@ func newBatcher(svc *Service, t *Tenant, window time.Duration, max int) *batcher
 	}
 }
 
-// submit parks the request with the collector and reports true; after
-// close it reports false and the caller evaluates inline — the no-drop
-// guarantee across drain.
+// arrive registers a request entering the tenant's handler; leave
+// undoes it for a request that exits before submit. Both are no-ops on a
+// nil batcher (batching off).
+func (b *batcher) arrive() {
+	if b != nil {
+		b.arriving.Add(1)
+	}
+}
+
+func (b *batcher) leave() {
+	if b != nil {
+		b.arriving.Add(-1)
+	}
+}
+
+// submit ends the request's arrival, parks it with the collector and
+// reports true; after close it reports false and the caller evaluates
+// inline — the no-drop guarantee across drain. The arrival ends before
+// the item is parked, so the collector never waits for a request that is
+// already in its channel.
 func (b *batcher) submit(it *batchItem) bool {
+	b.arriving.Add(-1)
 	select {
 	case <-b.stop:
 		return false
@@ -119,7 +161,17 @@ func (b *batcher) run() {
 		select {
 		case it := <-b.items:
 			pending = append(pending, it)
-			if len(pending) >= b.max {
+			// Take whatever else is already parked, up to a full batch.
+		take:
+			for len(pending) < b.max {
+				select {
+				case it := <-b.items:
+					pending = append(pending, it)
+				default:
+					break take
+				}
+			}
+			if len(pending) >= b.max || b.arriving.Load() <= 0 {
 				flush()
 			} else if timer == nil {
 				timer = time.NewTimer(b.window)
@@ -148,12 +200,28 @@ func (b *batcher) run() {
 // Items whose state no longer matches the snapshot's input width (e.g. a
 // hot-reload changed the observation size mid-batch) are answered
 // individually with the same error text the per-request path produces;
-// they never poison the batch for the valid items.
+// they never poison the batch for the valid items. A panic is recovered:
+// it is logged with its stack and counted, every item still unanswered
+// gets errEvalPanic, and the evaluator it happened in is dropped rather
+// than pooled.
 func (b *batcher) flush(pending []*batchItem) {
 	size := len(pending)
 	p := b.t.policy.Load()
 	ev := p.acquire()
-	defer p.release(ev)
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("serve: tenant %q: batch evaluation panicked: %v\n%s", b.t.name, r, debug.Stack())
+			b.svc.obs.Inc(MetricPanics, 1)
+			b.svc.obs.Inc(b.t.mPanics, 1)
+			for _, it := range pending {
+				if !it.answered {
+					it.reply(batchOut{err: errEvalPanic, generation: p.generation, size: size})
+				}
+			}
+			return
+		}
+		p.release(ev)
+	}()
 	start := time.Now()
 
 	b.svc.obs.Observe(HistBatchSize, float64(size))
@@ -165,10 +233,13 @@ func (b *batcher) flush(pending []*batchItem) {
 			// QValues rejects before evaluating; its error text is the
 			// per-request contract.
 			_, err := ev.QValues(it.state)
-			it.out <- batchOut{err: err, generation: p.generation, size: size}
+			it.reply(batchOut{err: err, generation: p.generation, size: size})
 			continue
 		}
 		valid = append(valid, it)
+	}
+	if b.svc.testHookFlush != nil {
+		b.svc.testHookFlush(b.t)
 	}
 	switch len(valid) {
 	case 0:
@@ -176,7 +247,7 @@ func (b *batcher) flush(pending []*batchItem) {
 		// Single-element fallthrough: the per-request path, no GEMM.
 		it := valid[0]
 		qs, err := ev.QValues(it.state)
-		it.out <- answer(qs, err, it.includeQ, p.generation, size)
+		it.reply(answer(qs, err, it.includeQ, p.generation, size))
 	default:
 		states := make([][]float64, len(valid))
 		for i, it := range valid {
@@ -185,14 +256,14 @@ func (b *batcher) flush(pending []*batchItem) {
 		qm, err := ev.QValuesBatch(states)
 		if err != nil {
 			for _, it := range valid {
-				it.out <- batchOut{err: err, generation: p.generation, size: size}
+				it.reply(batchOut{err: err, generation: p.generation, size: size})
 			}
 			break
 		}
 		qd := qm.RawData()
 		na := ev.ActionCount()
 		for i, it := range valid {
-			it.out <- answer(qd[i*na:(i+1)*na], nil, it.includeQ, p.generation, size)
+			it.reply(answer(qd[i*na:(i+1)*na], nil, it.includeQ, p.generation, size))
 		}
 	}
 	if n := len(valid); n > 0 {

@@ -16,11 +16,14 @@
 // /v1/* routes serve the "default" tenant (Config.Checkpoint).
 //
 // With Config.BatchWindow > 0 each tenant micro-batches its in-flight
-// evaluations: requests arriving within the window (up to BatchMax)
-// evaluate as one GEMM through qnet.Evaluator.QValuesBatch, amortizing
-// per-request overhead while staying bit-identical to the per-request
-// path — the host-side analogue of the batch inference hardware
-// accelerators use to reach "millions of users" throughput.
+// evaluations: requests parked together (up to BatchMax) evaluate as one
+// GEMM through qnet.Evaluator.QValuesBatch, amortizing per-request
+// overhead while staying bit-identical to the per-request path — the
+// host-side analogue of the batch inference hardware accelerators use to
+// reach "millions of users" throughput. A batch flushes once no other
+// request for the tenant is inside the server, so a lone request is
+// evaluated at once; the window only bounds waiting for requests already
+// in admission or decode.
 //
 // Endpoints (all JSON):
 //
@@ -73,6 +76,9 @@ const (
 	// MetricQuotaDenied counts requests rejected with 429 because the
 	// tenant's request quota (Config.Quotas) was exhausted.
 	MetricQuotaDenied = "serve_quota_denied"
+	// MetricPanics counts batch flushes whose evaluation panicked; each
+	// request still unanswered in that batch gets a 500.
+	MetricPanics = "serve_panics"
 	// MetricReloads and MetricReloadErrors count checkpoint hot-reloads.
 	MetricReloads      = "serve_reloads"
 	MetricReloadErrors = "serve_reload_errors"
@@ -153,11 +159,14 @@ type Config struct {
 	// (default 1s). A request still queued at the deadline is shed.
 	Timeout time.Duration
 	// BatchWindow, when > 0, micro-batches evaluations per tenant:
-	// requests arriving within the window coalesce into one GEMM. 0 (the
-	// default) keeps the per-request path.
+	// requests parked together coalesce into one GEMM. A batch flushes as
+	// soon as no other request for the tenant is inside the server (in
+	// admission or decode), so a request with no peer in flight is
+	// evaluated at once; the window bounds how long a batch waits for
+	// such peers. 0 (the default) keeps the per-request path.
 	BatchWindow time.Duration
 	// BatchMax caps a micro-batch (default 16). Reaching it flushes the
-	// batch before the window expires.
+	// batch at once.
 	BatchMax int
 	// Obs receives metrics, events and tracer spans; nil disables
 	// observability (every obs call is nil-safe).
@@ -211,6 +220,10 @@ type Service struct {
 	// testHookEval, when set, runs inside the worker slot before each
 	// evaluation — tests use it to hold workers busy deterministically.
 	testHookEval func()
+	// testHookFlush, when set, runs in each batch flush after the
+	// stale-width items are answered and before the valid ones are
+	// evaluated — tests use it to make one tenant's flush panic.
+	testHookFlush func(*Tenant)
 }
 
 // New loads every configured checkpoint and returns a ready service.
@@ -618,6 +631,9 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		writeJSON(w, http.StatusNotFound, errorResponse{"no default tenant; use /v1/t/{tenant}/"})
 		return
 	}
+	// From here on every path leaves the tenant's arrival count exactly
+	// once: through submit, or through leave on an exit before it.
+	t.batch.arrive()
 	rq := request{route: r.URL.Path, tenant: t.name, start: time.Now()}
 	s.obs.Inc(MetricRequests, 1)
 	s.obs.Inc(t.mReq, 1)
@@ -626,6 +642,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 
 	if t.quota != nil {
 		if ok, retryIn := t.quota.allow(rq.start); !ok {
+			t.batch.leave()
 			s.obs.Inc(MetricQuotaDenied, 1)
 			s.obs.Inc(t.mQuota, 1)
 			rq.status, rq.outcome = http.StatusTooManyRequests, slo.Shed
@@ -645,6 +662,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 	qSpan.End()
 	rq.queueMS = msSince(rq.start)
 	if !ok {
+		t.batch.leave()
 		rq.status, rq.outcome = http.StatusTooManyRequests, slo.Shed
 		if timedOut {
 			rq.outcome = slo.Timeout
@@ -671,6 +689,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 
 	var req evalRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		t.batch.leave()
 		s.obs.Inc(MetricErrors, 1)
 		s.obs.Inc(t.mErr, 1)
 		rq.status, rq.outcome = http.StatusBadRequest, slo.ClientError
@@ -688,9 +707,10 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 	evalStart := time.Now()
 	eSpan := s.span(&rq, SpanEval)
 	if t.batch != nil {
-		// Micro-batched path: park with the tenant's collector; the reply
-		// carries the batch size and a Q copy. A closed collector (drain)
-		// falls back to inline evaluation so the request is never dropped.
+		// Micro-batched path: park with the tenant's collector (which ends
+		// this request's arrival); the reply carries the batch size and a
+		// Q copy. A closed collector (drain) falls back to inline
+		// evaluation so the request is never dropped.
 		it := &batchItem{state: req.State, includeQ: includeQ, out: make(chan batchOut, 1)}
 		var bo batchOut
 		answered := false
@@ -743,11 +763,15 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		p.release(ev)
 		evalErr = err
 	}
-	s.obs.Inc(MetricErrors, 1)
-	s.obs.Inc(t.mErr, 1)
-	rq.status, rq.outcome = http.StatusBadRequest, slo.ClientError
+	if errors.Is(evalErr, errEvalPanic) {
+		rq.status, rq.outcome = http.StatusInternalServerError, slo.ServerError
+	} else {
+		s.obs.Inc(MetricErrors, 1)
+		s.obs.Inc(t.mErr, 1)
+		rq.status, rq.outcome = http.StatusBadRequest, slo.ClientError
+	}
 	setTimingHeaders(w, &rq)
-	writeJSON(w, http.StatusBadRequest, errorResponse{evalErr.Error()})
+	writeJSON(w, rq.status, errorResponse{evalErr.Error()})
 	s.finishRequest(&rq)
 }
 

@@ -30,6 +30,7 @@ type Tenant struct {
 	// export layer renders them as Prometheus labels.
 	mReq, mOK, mErr, mShed, mTimeout, mQuota string
 	mReloads, mReloadErr, gGen, hBatch       string
+	mPanics                                  string
 }
 
 func newTenant(name, source string) *Tenant {
@@ -47,6 +48,7 @@ func newTenant(name, source string) *Tenant {
 		mReloadErr: lbl(MetricReloadErrors),
 		gGen:       lbl(GaugeGeneration),
 		hBatch:     lbl(HistBatchSize),
+		mPanics:    lbl(MetricPanics),
 	}
 }
 
