@@ -427,6 +427,44 @@ func BenchmarkOSELMPredictKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluator times the serving-side Q evaluation of a CartPole
+// policy (simplified output model, scalar action): one state through
+// QValues, and a batch of eight through QValuesBatch (ns/op per batch).
+func BenchmarkEvaluator(b *testing.B) {
+	for _, hidden := range []int{64, 1024} {
+		r := rng.New(1)
+		a := qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, hidden))
+		r.FillUniform(a.Theta1().Beta.RawData(), -1, 1)
+		states := make([][]float64, 8)
+		for i := range states {
+			states[i] = []float64{r.Uniform(-1, 1), r.Uniform(-1, 1), r.Uniform(-0.2, 0.2), r.Uniform(-1, 1)}
+		}
+		b.Run(fmt.Sprintf("qvalues/%d", hidden), func(b *testing.B) {
+			ev := a.NewEvaluator()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.QValues(states[i%len(states)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("batch8/%d", hidden), func(b *testing.B) {
+			ev := a.NewEvaluator()
+			if _, err := ev.QValuesBatch(states); err != nil { // sizes the batch scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.QValuesBatch(states); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkELMInitTrainKernel(b *testing.B) {
 	for _, hidden := range []int{32, 64, 128} {
 		hidden := hidden

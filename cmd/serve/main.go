@@ -17,13 +17,13 @@
 // routes.
 //
 // Micro-batching: -batch-window coalesces in-flight evaluations per
-// tenant into one GEMM (up to -batch-max per flush). A batch flushes as
+// tenant into one QValuesBatch call (up to -batch-max per flush). A batch flushes as
 // soon as no other request for the tenant is inside the server, so a
 // request with no peer in flight is evaluated at once; the window only
 // bounds waiting for requests already in admission or decode. Answers
 // are bit-identical to the per-request path; under concurrent load
-// throughput rises because the matrix-matrix product amortizes
-// per-request dispatch.
+// throughput rises because one collector pass amortizes per-request
+// dispatch.
 //
 // Hot-reload: SIGHUP re-reads every checkpoint and swaps each in
 // atomically (zero dropped requests); -watch POLLS each file's content

@@ -17,7 +17,23 @@ type Func struct {
 	// Lipschitz is the global Lipschitz constant of F. The paper relies on
 	// ReLU and tanh having Lipschitz constant <= 1 (§2.5).
 	Lipschitz float64
+
+	kind kind
 }
+
+// kind marks the activations that float kernels evaluate inline instead of
+// calling F. A Func built outside this package has the zero kind, so it
+// always goes through F.
+type kind uint8
+
+const (
+	kindOther kind = iota
+	kindReLU
+)
+
+// IsReLU reports whether f is this package's ReLU, whose forward pass
+// kernels may inline as max(0, x) with F's exact semantics (NaN → 0).
+func (f Func) IsReLU() bool { return f.kind == kindReLU }
 
 // ReLU is G(x) = max(0, x), the activation the paper evaluates with (§4.1).
 var ReLU = Func{
@@ -35,6 +51,7 @@ var ReLU = Func{
 		return 0
 	},
 	Lipschitz: 1,
+	kind:      kindReLU,
 }
 
 // LeakyReLU has slope alpha for negative inputs; used in ablations.

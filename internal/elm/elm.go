@@ -126,12 +126,7 @@ func (m *Model) HiddenBatch(x *mat.Dense) *mat.Dense {
 		panic(fmt.Sprintf("elm: input has %d features, model expects %d", x.Cols(), m.inputSize))
 	}
 	h := mat.Mul(x, m.Alpha)
-	k := h.Rows()
-	for i := 0; i < k; i++ {
-		for j := 0; j < m.hiddenSize; j++ {
-			h.Set(i, j, m.Act.F(h.At(i, j)+m.Bias[j]))
-		}
-	}
+	m.activateRows(h.RawData())
 	return h
 }
 
@@ -148,13 +143,7 @@ func (m *Model) HiddenBatchInto(dst, x *mat.Dense) {
 		panic(fmt.Sprintf("elm: hidden dst is %dx%d, want %dx%d", dst.Rows(), dst.Cols(), x.Rows(), m.hiddenSize))
 	}
 	mat.MulSerialInto(dst, x, m.Alpha)
-	d := dst.RawData()
-	for i := 0; i < dst.Rows(); i++ {
-		row := d[i*m.hiddenSize : (i+1)*m.hiddenSize]
-		for j := range row {
-			row[j] = m.Act.F(row[j] + m.Bias[j])
-		}
-	}
+	m.activateRows(dst.RawData())
 }
 
 // HiddenOne computes the hidden activation row for a single input vector.
@@ -164,9 +153,7 @@ func (m *Model) HiddenOne(x []float64) []float64 {
 		panic(fmt.Sprintf("elm: input has %d features, model expects %d", len(x), m.inputSize))
 	}
 	h := mat.VecMul(x, m.Alpha)
-	for j := range h {
-		h[j] = m.Act.F(h[j] + m.Bias[j])
-	}
+	m.activateRows(h)
 	return h
 }
 
@@ -177,9 +164,128 @@ func (m *Model) HiddenOneInto(dst, x []float64) {
 		panic(fmt.Sprintf("elm: input has %d features, model expects %d", len(x), m.inputSize))
 	}
 	mat.VecMulInto(dst, x, m.Alpha)
-	for j := range dst {
-		dst[j] = m.Act.F(dst[j] + m.Bias[j])
+	m.activateRows(dst)
+}
+
+// activateRows overwrites each length-Ñ row z of d with G(z + b). ReLU is
+// inlined; every other activation calls F.
+func (m *Model) activateRows(d []float64) {
+	nh := m.hiddenSize
+	if m.Act.IsReLU() {
+		for lo := 0; lo < len(d); lo += nh {
+			row, b := d[lo:lo+nh], m.Bias[:nh]
+			for j, z := range row {
+				if z += b[j]; z > 0 {
+					row[j] = z
+				} else {
+					row[j] = 0
+				}
+			}
+		}
+		return
 	}
+	f := m.Act.F
+	for lo := 0; lo < len(d); lo += nh {
+		row, b := d[lo:lo+nh], m.Bias[:nh]
+		for j, z := range row {
+			row[j] = f(z + b[j])
+		}
+	}
+}
+
+// ActionValuesInto evaluates the simplified output model (a scalar output
+// over the input [state, e(a)]) for every action a = 0..len(q)-1 at once,
+// writing y(state, a) to q[a]. The action encoding e(a) is the scalar
+// index a (one input row after the state) or, with oneHot, a one-hot
+// vector over len(q) rows. proj is length-Ñ scratch.
+//
+// The state rows of α are projected once; then one loop over the hidden
+// units adds each action's α row, the bias and the activation and
+// accumulates h·β. Each sum runs in the order and with the zero-operand
+// skip of VecMulInto, so q[a] is bit-identical to HiddenOneInto followed
+// by VecMulInto over the encoded input.
+func (m *Model) ActionValuesInto(q, proj, state []float64, oneHot bool) {
+	ns, enc := len(state), 1
+	if oneHot {
+		enc = len(q)
+	}
+	if m.outputSize != 1 || ns+enc != m.inputSize || len(proj) != m.hiddenSize {
+		panic(fmt.Sprintf("elm: %d-feature state with %d-row action encoding and %d-unit scratch on a %d/%d/%d model",
+			ns, enc, len(proj), m.inputSize, m.hiddenSize, m.outputSize))
+	}
+	nh := m.hiddenSize
+	alpha := m.Alpha.RawData()
+	for j := range proj {
+		proj[j] = 0
+	}
+	for i, x := range state {
+		if x == 0 {
+			continue
+		}
+		row := alpha[i*nh : (i+1)*nh]
+		for j, w := range row {
+			proj[j] += x * w
+		}
+	}
+	// actionRow returns the α row action a adds and its input value.
+	actionRow := func(a int) ([]float64, float64) {
+		row, x := ns, float64(a)
+		if oneHot {
+			row, x = ns+a, 1
+		}
+		return alpha[row*nh : (row+1)*nh], x
+	}
+	// Actions go two per pass, so the two sums' add latencies overlap; an
+	// odd last action pairs with itself.
+	for a := 0; a < len(q); a += 2 {
+		a1 := min(a+1, len(q)-1)
+		r0, x0 := actionRow(a)
+		r1, x1 := actionRow(a1)
+		q[a], q[a1] = m.actionPair(proj, r0, r1, x0, x1)
+	}
+}
+
+// actionPair returns Σⱼ βⱼ·G(projⱼ + x·rowⱼ + bⱼ) for (r0, x0) and
+// (r1, x1), skipping x = 0 and zero activations as VecMulInto skips zero
+// operands.
+func (m *Model) actionPair(proj, r0, r1 []float64, x0, x1 float64) (y0, y1 float64) {
+	nh := len(proj)
+	r0, r1, b, beta := r0[:nh], r1[:nh], m.Bias[:nh], m.Beta.RawData()[:nh]
+	if m.Act.IsReLU() {
+		for j, p := range proj {
+			z0, z1 := p, p
+			if x0 != 0 {
+				z0 += x0 * r0[j]
+			}
+			if x1 != 0 {
+				z1 += x1 * r1[j]
+			}
+			if z0 += b[j]; z0 > 0 {
+				y0 += z0 * beta[j]
+			}
+			if z1 += b[j]; z1 > 0 {
+				y1 += z1 * beta[j]
+			}
+		}
+		return y0, y1
+	}
+	f := m.Act.F
+	for j, p := range proj {
+		z0, z1 := p, p
+		if x0 != 0 {
+			z0 += x0 * r0[j]
+		}
+		if x1 != 0 {
+			z1 += x1 * r1[j]
+		}
+		if h := f(z0 + b[j]); h != 0 {
+			y0 += h * beta[j]
+		}
+		if h := f(z1 + b[j]); h != 0 {
+			y1 += h * beta[j]
+		}
+	}
+	return y0, y1
 }
 
 // PredictBatch computes y = H·β for a k×n input chunk.

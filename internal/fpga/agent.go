@@ -51,8 +51,10 @@ type Agent struct {
 	exploreProb float64
 
 	// scratch holds the encoded (state, action) input and target the
-	// seq_train target, reused across calls.
+	// seq_train target, reused across calls; cpuProj and cpuQ are the
+	// float path's state projection and Q values.
 	scratch, target []fixed.Fixed
+	cpuProj, cpuQ   []float64
 
 	// obs receives structured events and metrics; nil disables.
 	obs *obs.Emitter
@@ -117,6 +119,8 @@ func NewAgentQ(cfg qnet.Config, cycles CycleModel, q fixed.QFormat) (*Agent, err
 	}
 	a.scratch = make([]fixed.Fixed, a.dims.In)
 	a.target = make([]fixed.Fixed, a.dims.Out)
+	a.cpuProj = make([]float64, cfg.Hidden)
+	a.cpuQ = make([]float64, cfg.ActionCount)
 	a.bus = DefaultBus()
 	a.initModels()
 	return a, nil
@@ -239,13 +243,10 @@ func (a *Agent) maxQCore(beta *fixed.Matrix, state []float64) (float64, int) {
 
 // maxQCPU is the pre-load float path (before init training completes).
 func (a *Agent) maxQCPU(state []float64, useTheta2 bool) (float64, int) {
-	in := make([]float64, a.dims.In)
-	copy(in, state)
+	_ = useTheta2 // pre-load, θ2 == θ1 == untrained; same model
+	a.cpu.ActionValuesInto(a.cpuQ, a.cpuProj, state, false)
 	best, arg, ties := math.Inf(-1), 0, 0
-	for act := 0; act < a.cfg.ActionCount; act++ {
-		in[len(state)] = float64(act)
-		q := a.cpu.PredictOne(in)[0]
-		_ = useTheta2 // pre-load, θ2 == θ1 == untrained; same model
+	for act, q := range a.cpuQ {
 		switch {
 		case q > best:
 			best, arg, ties = q, act, 1

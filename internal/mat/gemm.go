@@ -88,12 +88,11 @@ func MulSerial(a, b *Dense) *Dense {
 
 // MulSerialInto computes dst = a·b through the serial GEMM kernel
 // regardless of size, without allocating. dst must be preallocated with
-// shape a.Rows()×b.Cols() and must not alias a or b. Beyond the timing
-// harness's determinism needs, this is the batched-inference kernel of
-// qnet.Evaluator: gemmSerial accumulates each output row over the inner
-// dimension in ascending order with the same zero-operand skip as
-// VecMulInto, so row i of dst is bit-identical to a per-row VecMulInto —
-// the property the serving tier's batched-vs-unbatched golden tests pin.
+// shape a.Rows()×b.Cols() and must not alias a or b. gemmSerial
+// accumulates each output row over the inner dimension in ascending order
+// with the same zero-operand skip as VecMulInto, so row i of dst is
+// bit-identical to a per-row VecMulInto; elm.HiddenBatchInto and the
+// standard-output-model batch path of qnet.Evaluator rely on that.
 func MulSerialInto(dst, a, b *Dense) {
 	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
 		panic(fmt.Errorf("%w: MulSerialInto %dx%d = %dx%d · %dx%d",

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"oselmrl/internal/activation"
 	"oselmrl/internal/elm"
@@ -214,22 +215,36 @@ func SaveAgent(w io.Writer, a *qnet.Agent) error {
 	return json.NewEncoder(w).Encode(&j)
 }
 
-// SaveAgentFile writes an agent snapshot to path, creating or truncating
-// the file. The write is not atomic; writers coordinating with a live
-// checkpoint watcher should write to a temp file and rename.
-func SaveAgentFile(path string, a *qnet.Agent) error {
-	f, err := os.Create(path)
+// SaveAgentFile writes an agent snapshot to path atomically: the snapshot
+// goes to a temp file in the same directory, which is then renamed over
+// path, so a concurrent reader (the cmd/serve checkpoint watcher) sees
+// the old checkpoint or the new one, never a partial write. On error the
+// temp file is removed and path is left as it was.
+func SaveAgentFile(path string, a *qnet.Agent) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			err = fmt.Errorf("persist: writing %s: %w", path, err)
+		}
+	}()
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
 	if err := SaveAgent(f, a); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: writing %s: %w", path, err)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: writing %s: %w", path, err)
+		return err
 	}
-	return nil
+	return os.Rename(f.Name(), path)
 }
 
 // LoadAgentFile loads an agent snapshot from path — the checkpoint
@@ -262,16 +277,9 @@ func LoadAgent(r io.Reader) (*qnet.Agent, error) {
 	if j.Theta1 == nil || j.Theta2 == nil {
 		return nil, fmt.Errorf("persist: agent snapshot missing networks")
 	}
-	act, ok := activation.ByName(j.Theta1.Activation)
-	if !ok {
-		return nil, fmt.Errorf("persist: unknown activation %q", j.Theta1.Activation)
-	}
-	cfg := decodeConfig(j.Config)
-	cfg.Activation = act
-	agent, err := qnet.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("persist: rebuilding agent: %w", err)
-	}
+	// Restore and shape-check both networks before qnet.New builds a
+	// model of the config's size, so a small checkpoint that declares a
+	// huge width is rejected without allocating for it.
 	t1, err := restoreOSELM(j.Theta1)
 	if err != nil {
 		return nil, fmt.Errorf("persist: theta1: %w", err)
@@ -279,6 +287,18 @@ func LoadAgent(r io.Reader) (*qnet.Agent, error) {
 	t2, err := restoreOSELM(j.Theta2)
 	if err != nil {
 		return nil, fmt.Errorf("persist: theta2: %w", err)
+	}
+	cfg := decodeConfig(j.Config)
+	for _, m := range []*oselm.Model{t1, t2} {
+		if m.InputSize() != cfg.ObservationSize+1 || m.HiddenSize() != cfg.Hidden || m.OutputSize() != 1 {
+			return nil, fmt.Errorf("persist: networks are %d/%d/%d, config declares %d/%d/1",
+				m.InputSize(), m.HiddenSize(), m.OutputSize(), cfg.ObservationSize+1, cfg.Hidden)
+		}
+	}
+	cfg.Activation = t1.Act
+	agent, err := qnet.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("persist: rebuilding agent: %w", err)
 	}
 	if err := agent.RestoreModels(t1, t2); err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"oselmrl/internal/activation"
 	"oselmrl/internal/elm"
@@ -272,5 +273,103 @@ func TestLoadAgentFileErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "version 999") || !strings.Contains(err.Error(), path) {
 		t.Errorf("error should name the version and path: %v", err)
+	}
+}
+
+// A loader polling the checkpoint while a writer keeps replacing it must
+// only ever see a complete snapshot, old or new.
+func TestSaveAgentFileAtomic(t *testing.T) {
+	agents := []*qnet.Agent{
+		qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELML2, 4, 2, 8)),
+		qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELML2, 4, 2, 64)),
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "agent.json")
+	if err := SaveAgentFile(path, agents[0]); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 40; i++ {
+			if err := SaveAgentFile(path, agents[i%2]); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	loads := 0
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loads == 0 {
+				t.Fatal("the loader never ran")
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 {
+				t.Fatalf("directory holds %d entries after the saves, want only the checkpoint", len(entries))
+			}
+			return
+		default:
+		}
+		a, err := LoadAgentFile(path)
+		if err != nil {
+			t.Fatalf("load %d during saves: %v", loads, err)
+		}
+		if h := a.Config().Hidden; h != 8 && h != 64 {
+			t.Fatalf("loaded a %d-unit agent", h)
+		}
+		loads++
+	}
+}
+
+// A failed save leaves no temp file behind and the target untouched.
+func TestSaveAgentFileErrorRemovesTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "occupied")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	agent := qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELM, 4, 2, 8))
+	if err := SaveAgentFile(target, agent); err == nil {
+		t.Fatal("renaming over a directory must fail")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "occupied" || !entries[0].IsDir() {
+		t.Fatalf("directory after a failed save: %v", entries)
+	}
+}
+
+// A small checkpoint whose config declares a huge width is rejected from
+// its payload's shapes, before any model of that width is built.
+func TestLoadAgentRejectsOversizedConfig(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveAgent(&buf, qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELM, 4, 2, 2))); err != nil {
+		t.Fatal(err)
+	}
+	snap := strings.Replace(buf.String(), `"hidden":2,`, `"hidden":400000,`, 1)
+	if !strings.Contains(snap, `"hidden":400000`) {
+		t.Fatal("fixture did not rewrite the hidden field")
+	}
+	if len(snap) > 2000 {
+		t.Fatalf("fixture is %d bytes, want a small checkpoint", len(snap))
+	}
+	start := time.Now()
+	_, err := LoadAgent(strings.NewReader(snap))
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "400000") {
+		t.Fatalf("want a dimension error naming the declared width, got %v", err)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Fatalf("rejection took %v", elapsed)
 	}
 }

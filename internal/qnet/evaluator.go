@@ -22,17 +22,15 @@ import (
 type Evaluator struct {
 	cfg   Config
 	model *oselm.Model
-	in    []float64 // encoded network input (simplified output model)
-	hid   []float64 // hidden activations
+	hid   []float64 // hidden row, or the state projection
 	q     []float64 // one Q value per action
-	out   []float64 // raw network output row
 
 	// Batch scratch for QValuesBatch/BestBatch, lazily grown to the
 	// largest batch seen and reused between calls (the serving tier's
-	// micro-batcher flushes through one Evaluator at a time).
-	bin   *mat.Dense // k×In encoded inputs
+	// micro-batcher flushes through one Evaluator at a time). bin and
+	// bhid feed the standard output model's GEMMs and stay nil otherwise.
+	bin   *mat.Dense // k×In inputs
 	bhid  *mat.Dense // k×Hidden activations
-	bout  *mat.Dense // k×outSize raw outputs
 	bq    *mat.Dense // k×ActionCount Q values (the QValuesBatch result)
 	bact  []int      // BestBatch actions
 	bbest []float64  // BestBatch Q values
@@ -44,17 +42,11 @@ type Evaluator struct {
 // swaps θ1 and is NOT seen by existing Evaluators — build new ones (this
 // is exactly what makes checkpoint hot-swap race-free in internal/serve).
 func (a *Agent) NewEvaluator() *Evaluator {
-	outSize := 1
-	if a.cfg.StandardOutputModel {
-		outSize = a.cfg.ActionCount
-	}
 	return &Evaluator{
 		cfg:   a.cfg,
 		model: a.theta1,
-		in:    make([]float64, a.dims.In),
 		hid:   make([]float64, a.cfg.Hidden),
 		q:     make([]float64, a.cfg.ActionCount),
-		out:   make([]float64, outSize),
 	}
 }
 
@@ -72,53 +64,33 @@ func (ev *Evaluator) QValues(state []float64) ([]float64, error) {
 		return nil, fmt.Errorf("qnet: state has %d features, model expects %d",
 			len(state), ev.cfg.ObservationSize)
 	}
-	if ev.cfg.StandardOutputModel {
-		ev.model.HiddenOneInto(ev.hid, state)
-		mat.VecMulInto(ev.out, ev.hid, ev.model.Beta)
-		copy(ev.q, ev.out)
-		return ev.q, nil
-	}
-	copy(ev.in, state)
-	for act := 0; act < ev.cfg.ActionCount; act++ {
-		ev.encodeAction(len(state), act)
-		ev.model.HiddenOneInto(ev.hid, ev.in)
-		mat.VecMulInto(ev.out, ev.hid, ev.model.Beta)
-		ev.q[act] = ev.out[0]
-	}
+	qValuesInto(ev.q, ev.hid, &ev.cfg, ev.model, state)
 	return ev.q, nil
 }
 
-// encodeAction writes the action part of the simplified-output-model
-// input (scalar index by default, one-hot with OneHotActions), mirroring
-// Agent.encode.
-func (ev *Evaluator) encodeAction(stateLen, action int) {
-	ev.encodeActionInto(ev.in, stateLen, action)
-}
-
-// encodeActionInto writes the action encoding into an arbitrary input row
-// (the batch path encodes into rows of its input matrix).
-func (ev *Evaluator) encodeActionInto(dst []float64, stateLen, action int) {
-	if !ev.cfg.OneHotActions {
-		dst[stateLen] = float64(action)
+// qValuesInto writes Q(state, ·) on m into q, with hid as length-Ñ
+// scratch: one hidden pass and output pass for the standard output
+// model, one ActionValuesInto call for the simplified one.
+func qValuesInto(q, hid []float64, cfg *Config, m *oselm.Model, state []float64) {
+	if cfg.StandardOutputModel {
+		m.HiddenOneInto(hid, state)
+		mat.VecMulInto(q, hid, m.Beta)
 		return
 	}
-	for i := 0; i < ev.cfg.ActionCount; i++ {
-		v := 0.0
-		if i == action {
-			v = 1
-		}
-		dst[stateLen+i] = v
-	}
+	m.ActionValuesInto(q, hid, state, cfg.OneHotActions)
 }
 
 // growBatch (re)sizes the batch scratch for k rows. Backing arrays only
 // ever grow; a smaller batch reuses a prefix of the largest allocation.
 func (ev *Evaluator) growBatch(k int) {
+	std := ev.cfg.StandardOutputModel
+	in := ev.model.InputSize()
 	if ev.bq == nil || k > ev.bcap {
 		ev.bcap = k
-		ev.bin = mat.Zeros(k, ev.model.InputSize())
-		ev.bhid = mat.Zeros(k, ev.cfg.Hidden)
-		ev.bout = mat.Zeros(k, len(ev.out))
+		if std {
+			ev.bin = mat.Zeros(k, in)
+			ev.bhid = mat.Zeros(k, ev.cfg.Hidden)
+		}
 		ev.bq = mat.Zeros(k, ev.cfg.ActionCount)
 		ev.bact = make([]int, k)
 		ev.bbest = make([]float64, k)
@@ -128,23 +100,26 @@ func (ev *Evaluator) growBatch(k int) {
 		return
 	}
 	// Re-view the backing arrays at k rows (slice caps hold bcap rows).
-	ev.bin = mat.New(k, ev.model.InputSize(), ev.bin.RawData()[:k*ev.model.InputSize()])
-	ev.bhid = mat.New(k, ev.cfg.Hidden, ev.bhid.RawData()[:k*ev.cfg.Hidden])
-	ev.bout = mat.New(k, len(ev.out), ev.bout.RawData()[:k*len(ev.out)])
+	if std {
+		ev.bin = mat.New(k, in, ev.bin.RawData()[:k*in])
+		ev.bhid = mat.New(k, ev.cfg.Hidden, ev.bhid.RawData()[:k*ev.cfg.Hidden])
+	}
 	ev.bq = mat.New(k, ev.cfg.ActionCount, ev.bq.RawData()[:k*ev.cfg.ActionCount])
 	ev.bact = ev.bact[:k]
 	ev.bbest = ev.bbest[:k]
 }
 
-// QValuesBatch evaluates Q(state, ·) for every action of every state in
-// one pass: the hidden projection and the output projection each run as a
-// single serial GEMM over internal/mat instead of len(states) independent
-// matvecs. Row i of the result is bit-identical to QValues(states[i]) —
-// the GEMM kernel accumulates in the same order with the same
-// zero-operand skip — so batching never changes a served answer. The
-// returned matrix is owned by the Evaluator and reused on the next batch
-// call; copy rows that must outlive it. The only error is a state-length
-// mismatch (reported with the offending row).
+// QValuesBatch evaluates Q(state, ·) for every action of every state.
+// For the simplified output model it runs the QValues kernel
+// (elm.ActionValuesInto) once per row; for the standard output model the
+// hidden and output projections each run as one serial GEMM over
+// internal/mat, whose rows accumulate in the same order with the same
+// zero-operand skip as the matrix-vector path. Either way row i of the
+// result is bit-identical to QValues(states[i]), so batching never
+// changes a served answer. The returned matrix is owned by the Evaluator
+// and reused on the next batch call; copy rows that must outlive it. The
+// only error is a state-length mismatch (reported with the offending
+// row).
 func (ev *Evaluator) QValuesBatch(states [][]float64) (*mat.Dense, error) {
 	for i, st := range states {
 		if len(st) != ev.cfg.ObservationSize {
@@ -165,23 +140,10 @@ func (ev *Evaluator) QValuesBatch(states [][]float64) (*mat.Dense, error) {
 		mat.MulSerialInto(ev.bq, ev.bhid, ev.model.Beta)
 		return ev.bq, nil
 	}
-	// Simplified output model: one (hidden GEMM, output GEMM) pair per
-	// action over action-encoded input rows, scattered into the Q matrix.
-	bind := ev.bin.RawData()
-	in := ev.model.InputSize()
 	qd := ev.bq.RawData()
-	outd := ev.bout.RawData()
-	for act := 0; act < ev.cfg.ActionCount; act++ {
-		for i, st := range states {
-			row := bind[i*in : (i+1)*in]
-			copy(row, st)
-			ev.encodeActionInto(row, len(st), act)
-		}
-		ev.model.HiddenBatchInto(ev.bhid, ev.bin)
-		mat.MulSerialInto(ev.bout, ev.bhid, ev.model.Beta)
-		for i := 0; i < k; i++ {
-			qd[i*ev.cfg.ActionCount+act] = outd[i]
-		}
+	na := ev.cfg.ActionCount
+	for i, st := range states {
+		qValuesInto(qd[i*na:(i+1)*na], ev.hid, &ev.cfg, ev.model, st)
 	}
 	return ev.bq, nil
 }

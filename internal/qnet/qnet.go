@@ -219,9 +219,10 @@ type Agent struct {
 	dims         timing.OSELMDims
 	counters     *timing.Counters
 
-	// scratch holds the network input [state..., action] to avoid per-call
-	// allocation in the hot path.
-	scratch []float64
+	// scratch holds the network input [state..., action], hid the hidden
+	// row (or the state projection) and qs one Q value per action, so the
+	// hot path does not allocate.
+	scratch, hid, qs []float64
 
 	// obs receives structured events and metrics; nil (the default)
 	// disables observability at the cost of one nil check per guard.
@@ -256,6 +257,8 @@ func New(cfg Config) (*Agent, error) {
 			Out:    outputSize,
 		},
 		scratch: make([]float64, inputSize),
+		hid:     make([]float64, cfg.Hidden),
+		qs:      make([]float64, cfg.ActionCount),
 	}
 	a.initModels()
 	return a, nil
@@ -326,13 +329,16 @@ func (a *Agent) encode(dst, state []float64, action int) []float64 {
 	return dst
 }
 
+// qValues evaluates Q(s, ·) on model m into the agent's scratch, exactly
+// as Evaluator.QValues does.
+func (a *Agent) qValues(m *oselm.Model, state []float64) []float64 {
+	qValuesInto(a.qs, a.hid, &a.cfg, m, state)
+	return a.qs
+}
+
 // qValue evaluates Q(s, a) on the given model.
 func (a *Agent) qValue(m *oselm.Model, state []float64, action int) float64 {
-	if a.cfg.StandardOutputModel {
-		return m.PredictOne(state)[action]
-	}
-	in := a.encode(a.scratch, state, action)
-	return m.PredictOne(in)[0]
+	return a.qValues(m, state)[action]
 }
 
 // maxQ returns max over actions of Q(s, ·) on model m, and the argmax with
@@ -341,23 +347,7 @@ func (a *Agent) qValue(m *oselm.Model, state []float64, action int) float64 {
 func (a *Agent) maxQ(m *oselm.Model, state []float64) (best float64, argmax int) {
 	best = math.Inf(-1)
 	ties := 0
-	if a.cfg.StandardOutputModel {
-		qs := m.PredictOne(state)
-		for act, q := range qs {
-			switch {
-			case q > best:
-				best, argmax, ties = q, act, 1
-			case q == best:
-				ties++
-				if a.rng.Intn(ties) == 0 {
-					argmax = act
-				}
-			}
-		}
-		return best, argmax
-	}
-	for act := 0; act < a.cfg.ActionCount; act++ {
-		q := a.qValue(m, state, act)
+	for act, q := range a.qValues(m, state) {
 		switch {
 		case q > best:
 			best, argmax, ties = q, act, 1
@@ -578,8 +568,7 @@ func (a *Agent) sequentialUpdate(t replay.Transition) error {
 		cur[t.Action] = y
 		err = a.theta1.SeqTrainOne(t.State, cur)
 	} else {
-		in := make([]float64, a.dims.In)
-		a.encode(in, t.State, t.Action)
+		in := a.encode(a.scratch, t.State, t.Action)
 		if a.obs != nil {
 			pred = a.theta1.PredictOne(in)[0]
 		}

@@ -44,8 +44,8 @@ func (it *batchItem) reply(bo batchOut) {
 // parked, or when no other request for the tenant is inside the handler
 // (arriving is 0). A request with no peer in flight is therefore evaluated
 // at once. Otherwise the batch waits for those arriving requests, for at
-// most `window` from its first item. The whole batch runs as a single GEMM
-// through qnet.Evaluator.QValuesBatch. Row i of that GEMM is bit-identical
+// most `window` from its first item. The whole batch runs as one
+// qnet.Evaluator.QValuesBatch call. Row i of its result is bit-identical
 // to the per-request QValues path, so batching changes latency and
 // throughput but never an answer. A single-element flush falls through to
 // the per-request path. One collector goroutine per tenant serializes that
@@ -244,7 +244,7 @@ func (b *batcher) flush(pending []*batchItem) {
 	switch len(valid) {
 	case 0:
 	case 1:
-		// Single-element fallthrough: the per-request path, no GEMM.
+		// Single-element fallthrough: the per-request path.
 		it := valid[0]
 		qs, err := ev.QValues(it.state)
 		it.reply(answer(qs, err, it.includeQ, p.generation, size))

@@ -16,9 +16,10 @@
 // /v1/* routes serve the "default" tenant (Config.Checkpoint).
 //
 // With Config.BatchWindow > 0 each tenant micro-batches its in-flight
-// evaluations: requests parked together (up to BatchMax) evaluate as one
-// GEMM through qnet.Evaluator.QValuesBatch, amortizing per-request
-// overhead while staying bit-identical to the per-request path — the
+// evaluations: requests parked together (up to BatchMax) evaluate in one
+// collector pass through qnet.Evaluator.QValuesBatch, amortizing
+// per-request dispatch while staying bit-identical to the per-request
+// path — the
 // host-side analogue of the batch inference hardware accelerators use to
 // reach "millions of users" throughput. A batch flushes once no other
 // request for the tenant is inside the server, so a lone request is
@@ -159,11 +160,11 @@ type Config struct {
 	// (default 1s). A request still queued at the deadline is shed.
 	Timeout time.Duration
 	// BatchWindow, when > 0, micro-batches evaluations per tenant:
-	// requests parked together coalesce into one GEMM. A batch flushes as
-	// soon as no other request for the tenant is inside the server (in
-	// admission or decode), so a request with no peer in flight is
-	// evaluated at once; the window bounds how long a batch waits for
-	// such peers. 0 (the default) keeps the per-request path.
+	// requests parked together coalesce into one QValuesBatch call. A
+	// batch flushes as soon as no other request for the tenant is inside
+	// the server (in admission or decode), so a request with no peer in
+	// flight is evaluated at once; the window bounds how long a batch
+	// waits for such peers. 0 (the default) keeps the per-request path.
 	BatchWindow time.Duration
 	// BatchMax caps a micro-batch (default 16). Reaching it flushes the
 	// batch at once.

@@ -41,14 +41,10 @@ func makeAgent(t *testing.T, hidden int, seed uint64) *qnet.Agent {
 	return a
 }
 
-// writeCheckpoint atomically (via rename) writes an agent snapshot.
+// writeCheckpoint atomically writes an agent snapshot.
 func writeCheckpoint(t *testing.T, path string, a *qnet.Agent) {
 	t.Helper()
-	tmp := path + ".tmp"
-	if err := persist.SaveAgentFile(tmp, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := persist.SaveAgentFile(path, a); err != nil {
 		t.Fatal(err)
 	}
 }
