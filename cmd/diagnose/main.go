@@ -149,8 +149,8 @@ func main() {
 // Qm.f format determines (saturation rate and quantization error of the
 // seq_train module, plus Eq. 5 denominator-guard trips). The observer is
 // a disabled emitter — it costs nothing but switches the core's
-// accounting on, and survives the 300-episode reset rule because
-// Reinitialize re-arms accounting whenever an observer is installed.
+// accounting on. One core serves the whole run, so the columns are
+// cumulative across the 300-episode reset rule.
 func diagnoseFPGA(agent *fpga.Agent, task env.Env, episodes, every int, watchdog bool) {
 	emitter := obs.NewEmitter(nil)
 	var wd *obs.Watchdog

@@ -9,9 +9,9 @@ import (
 // GridWorld is a deterministic N×N navigation task with optional obstacle
 // cells: the agent starts in the top-left corner and must reach the
 // bottom-right goal. It provides a fully deterministic, quickly solvable
-// environment for agent unit tests and the future-work sweep — tabular
-// Q-learning solves it, so any correct function-approximation agent must
-// solve it too.
+// environment for agent unit tests and the future-work sweep: its optimal
+// policy is known analytically (2(N-1) moves on an obstacle-free grid), so
+// a correct agent's greedy path can be checked exactly.
 //
 // Observation: [row/(N-1), col/(N-1)] normalized to [0,1].
 // Actions: 0 = up, 1 = right, 2 = down, 3 = left.

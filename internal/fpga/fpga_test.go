@@ -258,6 +258,32 @@ func TestAgentRejectsInfeasible(t *testing.T) {
 	}
 }
 
+// TestAgentRejectsConfigs: the FPGA agent validates its config like the
+// float agents (one shared validate), and rejects the configs the core
+// cannot run instead of silently running something else.
+func TestAgentRejectsConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*qnet.Config)
+	}{
+		{"UpdateEvery 0", func(c *qnet.Config) { c.UpdateEvery = 0 }},
+		{"Epsilon2 3", func(c *qnet.Config) { c.Epsilon2 = 3 }},
+		{"Gamma 2", func(c *qnet.Config) { c.Gamma = 2 }},
+		{"ClipLow > ClipHigh", func(c *qnet.Config) { c.ClipLow, c.ClipHigh = 1, -1 }},
+		{"tanh", func(c *qnet.Config) { c.Activation = activation.Tanh }},
+		{"OneHotActions", func(c *qnet.Config) { c.OneHotActions = true }},
+		{"DoubleQ", func(c *qnet.Config) { c.DoubleQ = true }},
+		{"StandardOutputModel", func(c *qnet.Config) { c.StandardOutputModel = true }},
+		{"OS-ELM variant", func(c *qnet.Config) { c.Variant = qnet.VariantOSELM }},
+	} {
+		cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, 8)
+		tc.edit(&cfg)
+		if _, err := NewAgent(cfg, DefaultCycleModel()); err == nil {
+			t.Errorf("%s: NewAgent accepted the config", tc.name)
+		}
+	}
+}
+
 // TestAgentLifecycle: the FPGA agent follows Algorithm 1 — untrained until
 // D fills, then loaded, PL phases counted in cycles.
 func TestAgentLifecycle(t *testing.T) {

@@ -275,7 +275,7 @@ func TestAgentFormatThreading(t *testing.T) {
 	if !a.Trained() {
 		t.Fatal("Q16 agent must train")
 	}
-	// Reinitialize must preserve the format (fresh core, same context).
+	// Reinitialize must preserve the format (same core, same context).
 	a.Reinitialize()
 	if a.Core().Format() != fixed.Q16 {
 		t.Error("Reinitialize dropped the format")

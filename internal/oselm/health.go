@@ -35,26 +35,25 @@ func (m *Model) Health() NumericHealth {
 		return h
 	}
 	h.PTrace = m.GainTrace()
-	minAbs, maxAbs := math.Inf(1), 0.0
-	degenerate := false
-	for i := 0; i < m.P.Rows(); i++ {
-		d := m.P.At(i, i)
-		if d <= 0 {
-			degenerate = true
-		}
-		a := math.Abs(d)
-		if a < minAbs {
-			minAbs = a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	switch {
-	case degenerate || minAbs == 0:
-		h.PCondProxy = math.MaxFloat64
-	default:
-		h.PCondProxy = maxAbs / minAbs
-	}
+	h.PCondProxy = DiagCondProxy(m.P.Rows(), func(i int) float64 { return m.P.At(i, i) })
 	return h
+}
+
+// DiagCondProxy is NumericHealth.PCondProxy over the n diagonal entries
+// diag(0..n-1) of a P matrix, in whatever storage it lives.
+func DiagCondProxy(n int, diag func(i int) float64) float64 {
+	lo, hi := math.Inf(1), 0.0 // NaN entries compare false: skipped
+	for i := 0; i < n; i++ {
+		d := diag(i)
+		if d <= 0 {
+			return math.MaxFloat64
+		}
+		if d < lo {
+			lo = d
+		}
+		if d > hi {
+			hi = d
+		}
+	}
+	return hi / lo
 }

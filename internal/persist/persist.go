@@ -152,6 +152,12 @@ type configJSON struct {
 	Seed            uint64  `json:"seed"`
 	InitLow         float64 `json:"init_low"`
 	InitHigh        float64 `json:"init_high"`
+	// The extensions beyond the paper, omitted when off: a snapshot of a
+	// paper design does not carry them, and one without them decodes as
+	// false.
+	OneHotActions       bool `json:"one_hot_actions,omitempty"`
+	DoubleQ             bool `json:"double_q,omitempty"`
+	StandardOutputModel bool `json:"standard_output_model,omitempty"`
 }
 
 func encodeConfig(c qnet.Config) configJSON {
@@ -171,6 +177,10 @@ func encodeConfig(c qnet.Config) configJSON {
 		Seed:            c.Seed,
 		InitLow:         c.InitLow,
 		InitHigh:        c.InitHigh,
+
+		OneHotActions:       c.OneHotActions,
+		DoubleQ:             c.DoubleQ,
+		StandardOutputModel: c.StandardOutputModel,
 	}
 }
 
@@ -191,6 +201,10 @@ func decodeConfig(j configJSON) qnet.Config {
 		Seed:            j.Seed,
 		InitLow:         j.InitLow,
 		InitHigh:        j.InitHigh,
+
+		OneHotActions:       j.OneHotActions,
+		DoubleQ:             j.DoubleQ,
+		StandardOutputModel: j.StandardOutputModel,
 	}
 }
 
@@ -289,10 +303,11 @@ func LoadAgent(r io.Reader) (*qnet.Agent, error) {
 		return nil, fmt.Errorf("persist: theta2: %w", err)
 	}
 	cfg := decodeConfig(j.Config)
+	want := cfg.NetworkDims()
 	for _, m := range []*oselm.Model{t1, t2} {
-		if m.InputSize() != cfg.ObservationSize+1 || m.HiddenSize() != cfg.Hidden || m.OutputSize() != 1 {
-			return nil, fmt.Errorf("persist: networks are %d/%d/%d, config declares %d/%d/1",
-				m.InputSize(), m.HiddenSize(), m.OutputSize(), cfg.ObservationSize+1, cfg.Hidden)
+		if m.InputSize() != want.In || m.HiddenSize() != want.Hidden || m.OutputSize() != want.Out {
+			return nil, fmt.Errorf("persist: networks are %d/%d/%d, config declares %d/%d/%d",
+				m.InputSize(), m.HiddenSize(), m.OutputSize(), want.In, want.Hidden, want.Out)
 		}
 	}
 	cfg.Activation = t1.Act

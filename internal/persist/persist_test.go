@@ -176,6 +176,59 @@ func TestAgentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAgentRoundTripEncodings: snapshots of the extensions beyond the
+// paper — one-hot actions, the standard output model, Double Q — load
+// back with their config and networks intact.
+func TestAgentRoundTripEncodings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*qnet.Config)
+	}{
+		{"one-hot", func(c *qnet.Config) { c.OneHotActions = true }},
+		{"standard-output", func(c *qnet.Config) { c.StandardOutputModel = true }},
+		{"double-q", func(c *qnet.Config) { c.DoubleQ = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, 8)
+			tc.edit(&cfg)
+			agent := qnet.MustNew(cfg)
+			s := []float64{0.1, -0.2, 0.03, 0.4}
+			for i := 0; i < 12; i++ {
+				tr := replay.Transition{State: s, Action: i % 2, Reward: 0.1 * float64(i%3), NextState: s}
+				if err := agent.Observe(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := SaveAgent(&buf, agent); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := LoadAgent(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := restored.Config(), agent.Config()
+			if got.OneHotActions != want.OneHotActions || got.StandardOutputModel != want.StandardOutputModel ||
+				got.DoubleQ != want.DoubleQ {
+				t.Errorf("restored config %+v, saved %+v", got, want)
+			}
+			qa, err := agent.NewEvaluator().QValues(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qb, err := restored.NewEvaluator().QValues(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for act := range qa {
+				if qa[act] != qb[act] {
+					t.Errorf("Q(s, %d) = %v restored, %v saved", act, qb[act], qa[act])
+				}
+			}
+		})
+	}
+}
+
 func TestAgentSnapshotIsJSON(t *testing.T) {
 	cfg := qnet.DefaultConfig(qnet.VariantOSELM, 4, 2, 8)
 	agent := qnet.MustNew(cfg)

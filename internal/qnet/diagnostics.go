@@ -35,18 +35,18 @@ type Diagnostics struct {
 func (a *Agent) Snapshot(episode int, probeStates [][]float64) Diagnostics {
 	d := Diagnostics{
 		Episode:       episode,
-		BetaSigmaMax:  a.theta1.BetaSigmaMax(),
-		BetaFrobenius: a.theta1.Beta.FrobeniusNorm(),
-		AlphaSigmaMax: mat.LargestSingularValue(a.theta1.Alpha, 200, nil),
+		BetaSigmaMax:  a.f.theta1.BetaSigmaMax(),
+		BetaFrobenius: a.f.theta1.Beta.FrobeniusNorm(),
+		AlphaSigmaMax: mat.LargestSingularValue(a.f.theta1.Alpha, 200, nil),
 	}
 	d.LipschitzBound = d.AlphaSigmaMax * a.cfg.Activation.Lipschitz * d.BetaSigmaMax
-	if a.theta1.P != nil {
-		d.GainTrace = a.theta1.GainTrace()
-		d.PMaxAbs = a.theta1.P.MaxAbs()
+	if a.f.theta1.P != nil {
+		d.GainTrace = a.f.theta1.GainTrace()
+		d.PMaxAbs = a.f.theta1.P.MaxAbs()
 	}
 	for _, s := range probeStates {
-		for act := 0; act < a.cfg.ActionCount; act++ {
-			q := a.qValue(a.theta1, s, act)
+		a.f.QValues(a.qs, s, false)
+		for _, q := range a.qs {
 			if q < 0 {
 				q = -q
 			}

@@ -44,7 +44,7 @@ type Evaluator struct {
 func (a *Agent) NewEvaluator() *Evaluator {
 	return &Evaluator{
 		cfg:   a.cfg,
-		model: a.theta1,
+		model: a.f.theta1,
 		hid:   make([]float64, a.cfg.Hidden),
 		q:     make([]float64, a.cfg.ActionCount),
 	}

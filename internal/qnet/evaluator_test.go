@@ -65,7 +65,7 @@ func TestEvaluatorMatchesAgent(t *testing.T) {
 					t.Fatal(err)
 				}
 				for act := 0; act < cfg.ActionCount; act++ {
-					if want := a.qValue(a.theta1, state, act); qs[act] != want {
+					if want := qValues(a, state, false)[act]; qs[act] != want {
 						t.Fatalf("Q(s,%d) = %v, agent says %v", act, qs[act], want)
 					}
 				}
@@ -73,7 +73,7 @@ func TestEvaluatorMatchesAgent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if wantQ, _ := a.maxQ(a.theta1, state); bestQ != wantQ {
+				if wantQ, _ := a.maxQ(state, false); bestQ != wantQ {
 					t.Fatalf("Best Q = %v, agent max = %v", bestQ, wantQ)
 				}
 				if qs[best] != bestQ {

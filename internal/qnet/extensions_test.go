@@ -17,14 +17,14 @@ func TestOneHotEncodingInputSize(t *testing.T) {
 	}
 	// The encoding itself.
 	dst := make([]float64, 6)
-	a.encode(dst, []float64{1, 2, 3, 4}, 1)
+	a.f.encode(dst, []float64{1, 2, 3, 4}, 1)
 	want := []float64{1, 2, 3, 4, 0, 1}
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatalf("encode = %v", dst)
 		}
 	}
-	a.encode(dst, []float64{1, 2, 3, 4}, 0)
+	a.f.encode(dst, []float64{1, 2, 3, 4}, 0)
 	if dst[4] != 1 || dst[5] != 0 {
 		t.Fatalf("encode action 0 = %v", dst)
 	}
@@ -33,7 +33,7 @@ func TestOneHotEncodingInputSize(t *testing.T) {
 func TestScalarEncodingDefault(t *testing.T) {
 	a := MustNew(cfgFor(VariantOSELM))
 	dst := make([]float64, 5)
-	a.encode(dst, []float64{1, 2, 3, 4}, 1)
+	a.f.encode(dst, []float64{1, 2, 3, 4}, 1)
 	if dst[4] != 1 {
 		t.Fatalf("scalar encode = %v", dst)
 	}
@@ -81,12 +81,12 @@ func TestDoubleQTargetSelection(t *testing.T) {
 		}
 	}
 	// Now θ1 prefers action 0, θ2 prefers action 1.
-	q1a0 := a.qValue(a.theta1, state, 0)
-	q1a1 := a.qValue(a.theta1, state, 1)
+	q1a0 := qValues(a, state, false)[0]
+	q1a1 := qValues(a, state, false)[1]
 	if q1a0 <= q1a1 {
 		t.Skip("retraining did not flip θ1's preference; seed-dependent")
 	}
-	q2atTheta1Argmax := a.qValue(a.theta2, state, 0)
+	q2atTheta1Argmax := qValues(a, state, true)[0]
 	got := a.target(replay.Transition{State: state, NextState: state, Reward: 0})
 	if got != q2atTheta1Argmax {
 		t.Errorf("Double-Q target = %v, want θ2's value %v at θ1's argmax", got, q2atTheta1Argmax)

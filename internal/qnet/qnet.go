@@ -12,15 +12,27 @@
 //  4. Spectral normalization for α + L2 regularization for β (§3.3):
 //     α ← α/σmax(α) once at init, and δI added in the initial training.
 //
-// The five ELM/OS-ELM designs of §4.1 are expressed as Variant values; the
-// DQN baseline lives in internal/dqn and the fixed-point FPGA design in
-// internal/fpga.
+// Algorithm 1 is written once, as Driver, over a Learner that supplies
+// the arithmetic: Q values under θ1 or θ2, init training on buffer D, one
+// sequential update, the θ2 sync, the weight draw and the per-phase cost.
+// There are two learners:
+//
+//   - Agent's float learner, over internal/oselm, runs every design of
+//     §4.1 — batch ELM and the four OS-ELM variants (Variant) — with the
+//     scalar or one-hot action encoding, the simplified or standard output
+//     model and plain or Double Q targets. It charges flops on the
+//     PyTorch/Cortex-A9 profile.
+//   - internal/fpga's fixed-point learner is design (7): OS-ELM-L2-
+//     Lipschitz with ReLU, the scalar encoding, the simplified output
+//     model and plain targets only. It charges datapath cycles.
+//
+// The driver rejects at construction any config its learner cannot run.
+// The DQN baseline lives in internal/dqn.
 package qnet
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"oselmrl/internal/activation"
 	"oselmrl/internal/elm"
@@ -192,76 +204,44 @@ func (c *Config) validate() error {
 	if c.ExploreDecay <= 0 || c.ExploreDecay > 1 {
 		return fmt.Errorf("qnet: ExploreDecay must be in (0, 1]: %g", c.ExploreDecay)
 	}
+	if c.StandardOutputModel && c.OneHotActions {
+		return fmt.Errorf("qnet: StandardOutputModel and OneHotActions are mutually exclusive")
+	}
 	if c.Activation.F == nil {
 		c.Activation = activation.ReLU
 	}
 	return nil
 }
 
-// Agent is an ELM or OS-ELM Q-Network agent implementing Algorithm 1.
+// NetworkDims returns the input, hidden and output widths of the config's
+// networks: [state, action] → 1 for the simplified output model (the
+// action one-hot with OneHotActions), state → one Q per action for the
+// standard one.
+func (c Config) NetworkDims() timing.OSELMDims {
+	switch {
+	case c.StandardOutputModel:
+		return timing.OSELMDims{In: c.ObservationSize, Hidden: c.Hidden, Out: c.ActionCount}
+	case c.OneHotActions:
+		return timing.OSELMDims{In: c.ObservationSize + c.ActionCount, Hidden: c.Hidden, Out: 1}
+	}
+	return timing.OSELMDims{In: c.ObservationSize + 1, Hidden: c.Hidden, Out: 1}
+}
+
+// Agent is an ELM or OS-ELM Q-Network agent: the Algorithm 1 driver over
+// the float learner.
 type Agent struct {
-	cfg Config
-	rng *rng.RNG
-
-	// theta1 and theta2 are Qθ1 and the fixed target Qθ2.
-	theta1 *oselm.Model
-	theta2 *oselm.Model
-
-	buffer      *replay.InitStore
-	globalStep  int
-	exploreProb float64
-	// targetsN / targetsClipped track the Bellman-target clip rate since
-	// (re)initialization, published as the learn_clip_rate gauge at sync.
-	targetsN, targetsClipped int64
-	// batchTrained marks that the batch-ELM variant has completed at least
-	// one training (its oselm initialized flag never sets).
-	batchTrained bool
-	dims         timing.OSELMDims
-	counters     *timing.Counters
-
-	// scratch holds the network input [state..., action], hid the hidden
-	// row (or the state projection) and qs one Q value per action, so the
-	// hot path does not allocate.
-	scratch, hid, qs []float64
-
-	// obs receives structured events and metrics; nil (the default)
-	// disables observability at the cost of one nil check per guard.
-	obs *obs.Emitter
+	*Driver
+	f *FloatLearner
 }
 
 // New builds an agent from cfg.
 func New(cfg Config) (*Agent, error) {
-	if err := cfg.validate(); err != nil {
+	f := &FloatLearner{}
+	d, err := NewDriver(cfg, f)
+	if err != nil {
 		return nil, err
 	}
-	inputSize := cfg.ObservationSize + 1
-	outputSize := 1
-	switch {
-	case cfg.StandardOutputModel:
-		if cfg.OneHotActions {
-			return nil, fmt.Errorf("qnet: StandardOutputModel and OneHotActions are mutually exclusive")
-		}
-		inputSize = cfg.ObservationSize
-		outputSize = cfg.ActionCount
-	case cfg.OneHotActions:
-		inputSize = cfg.ObservationSize + cfg.ActionCount
-	}
-	a := &Agent{
-		cfg:      cfg,
-		rng:      rng.New(cfg.Seed),
-		buffer:   replay.NewInitStore(cfg.Hidden),
-		counters: timing.NewCounters(),
-		dims: timing.OSELMDims{
-			In:     inputSize,
-			Hidden: cfg.Hidden,
-			Out:    outputSize,
-		},
-		scratch: make([]float64, inputSize),
-		hid:     make([]float64, cfg.Hidden),
-		qs:      make([]float64, cfg.ActionCount),
-	}
-	a.initModels()
-	return a, nil
+	return &Agent{Driver: d, f: f}, nil
 }
 
 // MustNew is New that panics on configuration errors (tests, examples).
@@ -273,53 +253,98 @@ func MustNew(cfg Config) *Agent {
 	return a
 }
 
-func (a *Agent) initModels() {
-	opts := elm.Options{
-		InitLow:                a.cfg.InitLow,
-		InitHigh:               a.cfg.InitHigh,
-		SpectralNormalizeAlpha: a.cfg.Variant.SpectralNormalize(),
+// BetaSigmaMax exposes σmax(β), the agent's Lipschitz bound after spectral
+// normalization (§3.3), for the stability diagnostics.
+func (a *Agent) BetaSigmaMax() float64 { return a.f.theta1.BetaSigmaMax() }
+
+// LipschitzBound returns σmax(α)·Lip(G)·σmax(β) for θ1.
+func (a *Agent) LipschitzBound() float64 { return a.f.theta1.LipschitzBound() }
+
+// Theta1 exposes the online model for white-box tests.
+func (a *Agent) Theta1() *oselm.Model { return a.f.theta1 }
+
+// Theta2 exposes the target model for white-box tests.
+func (a *Agent) Theta2() *oselm.Model { return a.f.theta2 }
+
+// RestoreModels installs persisted θ1/θ2 models (internal/persist). The
+// models must match the agent's dimensions.
+func (a *Agent) RestoreModels(theta1, theta2 *oselm.Model) error {
+	want := a.cfg.NetworkDims()
+	for _, m := range []*oselm.Model{theta1, theta2} {
+		if m.InputSize() != want.In || m.HiddenSize() != want.Hidden || m.OutputSize() != want.Out {
+			return fmt.Errorf("qnet: restored model is %d/%d/%d, agent expects %d/%d/%d",
+				m.InputSize(), m.HiddenSize(), m.OutputSize(), want.In, want.Hidden, want.Out)
+		}
 	}
-	delta := 0.0
-	if a.cfg.Variant.UsesL2() {
-		delta = a.cfg.Delta
-	}
-	base := elm.NewModel(a.dims.In, a.cfg.Hidden, a.dims.Out, a.cfg.Activation, a.rng, opts)
-	a.theta1 = oselm.New(base, delta)
-	a.theta2 = a.theta1.Clone() // Algorithm 1 line 4: θ2 ← θ1
-	a.buffer.Clear()
-	a.globalStep = 0
-	a.exploreProb = 1 - a.cfg.Epsilon1
-	a.batchTrained = false
-	a.targetsN, a.targetsClipped = 0, 0
+	a.f.theta1 = theta1
+	a.f.theta2 = theta2
+	return nil
 }
 
-// Name returns the paper's design name.
-func (a *Agent) Name() string { return a.cfg.Variant.String() }
+// FloatLearner is the float64 Learner: θ1 and θ2 are OS-ELM models (batch
+// ELM for VariantELM), and work is charged in flops on the PyTorch
+// Cortex-A9 profile (§4.3). The fixed-point learner runs one as its CPU
+// side before the core is loaded.
+type FloatLearner struct {
+	cfg  Config
+	dims timing.OSELMDims
+	// theta1 and theta2 are Qθ1 and the fixed target Qθ2.
+	theta1, theta2 *oselm.Model
 
-// Config returns the agent's configuration.
-func (a *Agent) Config() Config { return a.cfg }
+	// in holds the network input [state..., action], hid the hidden row
+	// (or the state projection) and y one target row, so the hot path
+	// does not allocate.
+	in, hid, y []float64
+}
 
-// Counters exposes the timing counters accumulated so far.
-func (a *Agent) Counters() *timing.Counters { return a.counters }
+func (l *FloatLearner) Setup(cfg Config) error {
+	l.cfg = cfg
+	l.dims = cfg.NetworkDims()
+	l.in = make([]float64, l.dims.In)
+	l.hid = make([]float64, cfg.Hidden)
+	l.y = make([]float64, 1)
+	return nil
+}
 
-// SetObserver installs the observability emitter (harness.Observable).
-func (a *Agent) SetObserver(e *obs.Emitter) { a.obs = e }
+func (l *FloatLearner) Draw(r *rng.RNG) {
+	opts := elm.Options{
+		InitLow:                l.cfg.InitLow,
+		InitHigh:               l.cfg.InitHigh,
+		SpectralNormalizeAlpha: l.cfg.Variant.SpectralNormalize(),
+	}
+	delta := 0.0
+	if l.cfg.Variant.UsesL2() {
+		delta = l.cfg.Delta
+	}
+	base := elm.NewModel(l.dims.In, l.cfg.Hidden, l.dims.Out, l.cfg.Activation, r, opts)
+	l.theta1 = oselm.New(base, delta)
+	l.theta2 = l.theta1.Clone() // Algorithm 1 line 4: θ2 ← θ1
+}
 
-// Trained reports whether initial training has completed (OS-ELM) or the
-// first batch training has run (ELM).
-func (a *Agent) Trained() bool { return a.theta1.Initialized() || a.batchTrained }
+func (l *FloatLearner) Ready() bool { return l.theta1.Initialized() }
+
+// Theta1 returns the online model.
+func (l *FloatLearner) Theta1() *oselm.Model { return l.theta1 }
+
+func (l *FloatLearner) QValues(q, state []float64, target bool) {
+	m := l.theta1
+	if target {
+		m = l.theta2
+	}
+	qValuesInto(q, l.hid, &l.cfg, m, state)
+}
 
 // encode writes the simplified-output-model input into dst: [state...,
 // action] with the action as a scalar by default (the paper's input size
 // for CartPole is 5 = 4 states + 1 action), or [state..., onehot(action)]
 // when OneHotActions is set.
-func (a *Agent) encode(dst, state []float64, action int) []float64 {
+func (l *FloatLearner) encode(dst, state []float64, action int) []float64 {
 	copy(dst, state)
-	if !a.cfg.OneHotActions {
+	if !l.cfg.OneHotActions {
 		dst[len(state)] = float64(action)
 		return dst
 	}
-	for i := 0; i < a.cfg.ActionCount; i++ {
+	for i := 0; i < l.cfg.ActionCount; i++ {
 		v := 0.0
 		if i == action {
 			v = 1
@@ -329,343 +354,79 @@ func (a *Agent) encode(dst, state []float64, action int) []float64 {
 	return dst
 }
 
-// qValues evaluates Q(s, ·) on model m into the agent's scratch, exactly
-// as Evaluator.QValues does.
-func (a *Agent) qValues(m *oselm.Model, state []float64) []float64 {
-	qValuesInto(a.qs, a.hid, &a.cfg, m, state)
-	return a.qs
-}
-
-// qValue evaluates Q(s, a) on the given model.
-func (a *Agent) qValue(m *oselm.Model, state []float64, action int) float64 {
-	return a.qValues(m, state)[action]
-}
-
-// maxQ returns max over actions of Q(s, ·) on model m, and the argmax with
-// uniform random tie-breaking (before training all Q values are 0, so
-// deterministic argmax would freeze on action 0).
-func (a *Agent) maxQ(m *oselm.Model, state []float64) (best float64, argmax int) {
-	best = math.Inf(-1)
-	ties := 0
-	for act, q := range a.qValues(m, state) {
-		switch {
-		case q > best:
-			best, argmax, ties = q, act, 1
-		case q == best:
-			ties++
-			if a.rng.Intn(ties) == 0 {
-				argmax = act
-			}
-		}
-	}
-	return best, argmax
-}
-
-// predictPhase is predict_init before the initial training completes and
-// predict_seq after, matching the paper's Figure 5 legend. The batch ELM
-// retrains forever and never enters a sequential regime, so its
-// predictions all count as predict_init — matching the paper's ELM bars
-// (init_train + predict_init dominant).
-func (a *Agent) predictPhase() timing.Phase {
-	if a.theta1.Initialized() {
-		return timing.PhasePredictSeq
-	}
-	return timing.PhasePredictInit
-}
-
-// modelSeconds converts one phase invocation's work into modelled device
-// seconds on the software stack this agent represents (§4.3: PyTorch on
-// the Cortex-A9) — the modelled counterpart the span tracer records next
-// to measured wall time.
-func modelSeconds(p timing.Phase, work float64) float64 {
-	return timing.CortexA9PyTorch.Seconds(p, 1, work)
-}
-
-// SelectAction implements Algorithm 1 lines 10-13: greedy with probability
-// ε₁, uniformly random otherwise.
-func (a *Agent) SelectAction(state []float64) int {
-	if a.rng.Float64() >= a.exploreProb {
-		phase := a.predictPhase()
-		sp := a.obs.StartSpan(string(phase))
-		_, act := a.maxQ(a.theta1, state)
-		// One framework call: a NumPy/PyTorch implementation stacks the
-		// action candidates into a single batched forward pass.
-		work := float64(a.cfg.ActionCount) * a.dims.PredictFlops()
-		a.counters.Add(phase, work)
-		if sp.Active() {
-			sp.EndModelled(modelSeconds(phase, work))
-		}
-		return act
-	}
-	return a.rng.Intn(a.cfg.ActionCount)
-}
-
-// GreedyAction returns argmax_a Q(s,a) without exploration (evaluation).
-func (a *Agent) GreedyAction(state []float64) int {
-	_, act := a.maxQ(a.theta1, state)
-	return act
-}
-
-// target computes the clipped Bellman target of Algorithm 1 lines 19/22:
-// clip(r + γ(1-d)·max_a Qθ2(s', a), ClipLow, ClipHigh).
-func (a *Agent) target(t replay.Transition) float64 {
-	var next float64
-	if !t.Done {
-		if a.cfg.DoubleQ {
-			// Double Q: θ1 selects, θ2 evaluates.
-			_, act := a.maxQ(a.theta1, t.NextState)
-			next = a.qValue(a.theta2, t.NextState, act)
-		} else {
-			next, _ = a.maxQ(a.theta2, t.NextState)
-		}
-	}
-	y := t.Reward + a.cfg.Gamma*boolTo01(!t.Done)*next
-	clipped := false
-	if y < a.cfg.ClipLow {
-		y = a.cfg.ClipLow
-		clipped = true
-	}
-	if y > a.cfg.ClipHigh {
-		y = a.cfg.ClipHigh
-		clipped = true
-	}
-	a.targetsN++
-	if clipped {
-		a.targetsClipped++
-	}
-	if a.obs != nil {
-		a.obs.Inc(obs.MetricTargets, 1)
-		if clipped {
-			a.obs.Inc(obs.MetricTargetsClipped, 1)
-		}
-	}
-	return y
-}
-
-func boolTo01(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Observe implements Algorithm 1 lines 14-22: store the transition and run
-// the appropriate update.
-func (a *Agent) Observe(t replay.Transition) error {
-	a.globalStep++
-	if !a.theta1.Initialized() {
-		a.bufferAdd(t)
-		// Line 16-19: once D holds Ñ transitions, run the initial (ELM:
-		// batch) training.
-		if a.buffer.Full() {
-			return a.trainFromBuffer()
-		}
-		return nil
-	}
-	if !a.cfg.Variant.Sequential() {
-		// Batch ELM keeps refilling D and retraining when it is full.
-		a.bufferAdd(t)
-		if a.buffer.Full() {
-			return a.trainFromBuffer()
-		}
-		return nil
-	}
-	// Lines 20-22: random update — sequential training with probability ε₂.
-	if a.rng.Float64() < a.cfg.Epsilon2 {
-		return a.sequentialUpdate(t)
-	}
-	a.obs.Inc(obs.MetricSeqSkipped, 1)
-	return nil
-}
-
-// bufferAdd stores one transition in D under a "buffer_refill" trace
-// span, tracking occupancy.
-func (a *Agent) bufferAdd(t replay.Transition) {
-	sp := a.obs.StartSpan("buffer_refill")
-	a.buffer.Add(t)
-	if a.obs != nil {
-		a.obs.SetGauge(obs.GaugeBufferOccupancy, float64(a.buffer.Len())/float64(a.buffer.Cap()))
-	}
-	sp.End()
-}
-
-// trainFromBuffer runs the initial/batch training on buffer D with targets
-// computed from θ2 (Algorithm 1 lines 17-19), then clears D.
-func (a *Agent) trainFromBuffer() error {
-	sp := a.obs.StartSpan(string(timing.PhaseInitTrain))
-	t0 := a.obs.Now()
-	retrain := a.Trained() // refilled-buffer retrain vs first initial training
-	trans := a.buffer.Drain()
+func (l *FloatLearner) InitTrain(trans []replay.Transition, y []float64) error {
 	k := len(trans)
-	x := mat.Zeros(k, a.dims.In)
-	y := mat.Zeros(k, a.dims.Out)
-	row := make([]float64, a.dims.In)
+	x := mat.Zeros(k, l.dims.In)
+	t := mat.Zeros(k, l.dims.Out)
 	for i, tr := range trans {
-		if a.cfg.StandardOutputModel {
+		if l.cfg.StandardOutputModel {
 			x.SetRow(i, tr.State)
 			// The taken action trains toward the Bellman target; untaken
 			// actions toward their current predictions (no-op targets).
-			cur := a.theta1.PredictOne(tr.State)
-			cur[tr.Action] = a.target(tr)
-			y.SetRow(i, cur)
+			cur := l.theta1.PredictOne(tr.State)
+			cur[tr.Action] = y[i]
+			t.SetRow(i, cur)
 			continue
 		}
-		x.SetRow(i, a.encode(row, tr.State, tr.Action))
-		y.Set(i, 0, a.target(tr))
+		x.SetRow(i, l.encode(l.in, tr.State, tr.Action))
+		t.Set(i, 0, y[i])
 	}
-	// Target evaluations on θ2: k×ActionCount predictions.
-	nEvals := int64(k * a.cfg.ActionCount)
-	work := float64(nEvals)*a.dims.PredictFlops() + a.dims.InitTrainFlops(k)
-
-	var err error
-	if a.cfg.Variant.Sequential() {
-		err = a.theta1.InitTrain(x, y)
-	} else {
-		// Batch ELM: with L2 off this is the pseudo-inverse solve of Eq. 3.
-		// A tiny ridge keeps the Gram matrix invertible when D contains
-		// duplicate states, matching the pseudo-inverse's truncation.
-		err = a.theta1.Model.TrainBatch(x, y, 1e-8)
-		// ELM has no separate sequential phase; keep θ2 in sync with the
-		// freshly trained θ1 so targets are not computed from the initial
-		// random network forever (see DESIGN.md interpretation note).
-		a.theta2.CopyStateFrom(a.theta1)
-		a.batchTrained = true
+	if l.cfg.Variant.Sequential() {
+		return l.theta1.InitTrain(x, t)
 	}
-	a.counters.Add(timing.PhaseInitTrain, work)
-	if a.obs != nil {
-		model := modelSeconds(timing.PhaseInitTrain, work)
-		sp.EndModelled(model)
-		d := time.Since(t0)
-		a.obs.AddWall(string(timing.PhaseInitTrain), d)
-		a.obs.Inc(obs.MetricInitTrains, 1)
-		a.obs.SetGauge(obs.GaugeBufferOccupancy, 0)
-		a.obs.Emit(obs.EventInitTrain, 0, map[string]float64{
-			"size":     float64(k),
-			"step":     float64(a.globalStep),
-			"retrain":  boolTo01(retrain),
-			"dur_ms":   float64(d) / float64(time.Millisecond),
-			"model_ms": model * 1e3,
-		})
-	}
+	// Batch ELM: with L2 off this is the pseudo-inverse solve of Eq. 3.
+	// A tiny ridge keeps the Gram matrix invertible when D contains
+	// duplicate states, matching the pseudo-inverse's truncation.
+	err := l.theta1.Model.TrainBatch(x, t, 1e-8)
+	// ELM has no separate sequential phase; keep θ2 in sync with the
+	// freshly trained θ1 so targets are not computed from the initial
+	// random network forever (see DESIGN.md interpretation note).
+	l.theta2.CopyStateFrom(l.theta1)
 	return err
 }
 
-// sequentialUpdate runs one rank-1 OS-ELM update toward the clipped target
-// (Algorithm 1 line 22).
-func (a *Agent) sequentialUpdate(t replay.Transition) error {
-	sp := a.obs.StartSpan(string(timing.PhaseSeqTrain))
-	t0 := a.obs.Now()
-	y := a.target(t)
-	var err error
-	// pred is Qθ1(s, a) before the update; y − pred is the TD error the
-	// update corrects. The extra prediction is an observability probe, run
-	// only when an emitter is attached, and excluded from the work counters
-	// (the real device would not execute it).
-	pred := math.NaN()
-	if a.cfg.StandardOutputModel {
-		cur := a.theta1.PredictOne(t.State)
-		pred = cur[t.Action]
+func (l *FloatLearner) SeqTrain(t replay.Transition, y float64, probe bool) (float64, error) {
+	if l.cfg.StandardOutputModel {
+		cur := l.theta1.PredictOne(t.State)
+		pred := cur[t.Action]
 		cur[t.Action] = y
-		err = a.theta1.SeqTrainOne(t.State, cur)
-	} else {
-		in := a.encode(a.scratch, t.State, t.Action)
-		if a.obs != nil {
-			pred = a.theta1.PredictOne(in)[0]
-		}
-		err = a.theta1.SeqTrainOne(in, []float64{y})
+		return pred, l.theta1.SeqTrainOne(t.State, cur)
 	}
-	// Work: the target's θ2 evaluations plus the rank-1 update itself.
-	work := float64(a.cfg.ActionCount)*a.dims.PredictFlops() + a.dims.SeqTrainFlops()
-	a.counters.Add(timing.PhaseSeqTrain, work)
-	if a.obs != nil {
-		model := modelSeconds(timing.PhaseSeqTrain, work)
-		sp.EndModelled(model)
-		d := time.Since(t0)
-		tdErr := y - pred
-		a.obs.AddWall(string(timing.PhaseSeqTrain), d)
-		a.obs.Inc(obs.MetricSeqUpdates, 1)
-		a.obs.Observe(obs.HistLearnTDErrorAbs, math.Abs(tdErr))
-		a.obs.Observe(obs.HistLearnQValue, pred)
-		a.obs.Emit(obs.EventSeqUpdate, 0, map[string]float64{
-			"step":     float64(a.globalStep),
-			"target":   y,
-			"td_error": tdErr,
-			"dur_ms":   float64(d) / float64(time.Millisecond),
-			"model_ms": model * 1e3,
-		})
+	in := l.encode(l.in, t.State, t.Action)
+	pred := math.NaN()
+	if probe {
+		pred = l.theta1.PredictOne(in)[0]
 	}
-	return err
+	l.y[0] = y
+	return pred, l.theta1.SeqTrainOne(in, l.y)
 }
 
-// EndEpisode implements Algorithm 1 lines 23-24: every UpdateEvery
-// episodes, sync the target network θ2 ← θ1. Episodes are 1-based.
-func (a *Agent) EndEpisode(episode int) {
-	a.exploreProb *= a.cfg.ExploreDecay
-	if !a.cfg.Variant.Sequential() {
-		return // θ2 sync is OS-ELM-specific (paper §3.1)
-	}
-	if episode%a.cfg.UpdateEvery == 0 {
-		a.theta2.CopyStateFrom(a.theta1)
-		if a.obs != nil {
-			// σmax(β) is the Lipschitz bound the §3.3 regularization caps;
-			// tracked at sync points so its drift over a run is inspectable,
-			// together with the learn_* numeric-health gauges.
-			h := a.theta1.Health()
-			a.obs.Inc(obs.MetricTheta2Syncs, 1)
-			a.obs.SetGauge(obs.GaugeBetaSigmaMax, h.BetaSigmaMax)
-			a.obs.Observe(obs.GaugeBetaSigmaMax, h.BetaSigmaMax)
-			a.obs.SetGauge(obs.GaugeLearnBetaNorm, h.BetaNorm)
-			if a.theta1.Initialized() {
-				a.obs.SetGauge(obs.GaugeLearnPTrace, h.PTrace)
-				a.obs.SetGauge(obs.GaugeLearnPCond, h.PCondProxy)
-			}
-			if a.targetsN > 0 {
-				a.obs.SetGauge(obs.GaugeLearnClipRate,
-					float64(a.targetsClipped)/float64(a.targetsN))
-			}
-			a.obs.Emit(obs.EventTheta2Sync, episode, map[string]float64{
-				"beta_sigma_max": h.BetaSigmaMax,
-				"beta_norm":      h.BetaNorm,
-			})
-		}
-	}
+func (l *FloatLearner) SyncTarget() bool {
+	l.theta2.CopyStateFrom(l.theta1)
+	return true
 }
 
-// Reinitialize draws fresh random weights — the §4.3 reset rule for
-// unpromising initializations ("reset if they did not complete the task
-// after 300 episodes"). Timing counters are preserved: the paper's
-// time-to-complete includes failed attempts.
-func (a *Agent) Reinitialize() { a.initModels() }
+func (l *FloatLearner) Health() oselm.NumericHealth { return l.theta1.Health() }
 
-// BetaSigmaMax exposes σmax(β), the agent's Lipschitz bound after spectral
-// normalization (§3.3), for the stability diagnostics.
-func (a *Agent) BetaSigmaMax() float64 { return a.theta1.BetaSigmaMax() }
+func (l *FloatLearner) Mark() int64 { return 0 }
 
-// LipschitzBound returns σmax(α)·Lip(G)·σmax(β) for θ1.
-func (a *Agent) LipschitzBound() float64 { return a.theta1.LipschitzBound() }
-
-// Theta1 exposes the online model for white-box tests.
-func (a *Agent) Theta1() *oselm.Model { return a.theta1 }
-
-// Theta2 exposes the target model for white-box tests.
-func (a *Agent) Theta2() *oselm.Model { return a.theta2 }
-
-// GlobalStep returns the number of Observe calls since (re)initialization.
-func (a *Agent) GlobalStep() int { return a.globalStep }
-
-// RestoreModels installs persisted θ1/θ2 models (internal/persist). The
-// models must match the agent's dimensions.
-func (a *Agent) RestoreModels(theta1, theta2 *oselm.Model) error {
-	for _, m := range []*oselm.Model{theta1, theta2} {
-		if m.InputSize() != a.dims.In || m.HiddenSize() != a.cfg.Hidden || m.OutputSize() != 1 {
-			return fmt.Errorf("qnet: restored model is %d/%d/%d, agent expects %d/%d/1",
-				m.InputSize(), m.HiddenSize(), m.OutputSize(), a.dims.In, a.cfg.Hidden)
-		}
+// Charge books flops: every phase counts the ActionCount evaluations a
+// NumPy/PyTorch implementation stacks into one batched forward pass (for
+// init training, one per transition of D), plus the training itself.
+func (l *FloatLearner) Charge(c *timing.Counters, p timing.Phase, _ int64, n int, _ map[string]float64) float64 {
+	var work float64
+	switch p {
+	case timing.PhaseInitTrain:
+		work = float64(n*l.cfg.ActionCount)*l.dims.PredictFlops() + l.dims.InitTrainFlops(n)
+	case timing.PhaseSeqTrain:
+		work = float64(l.cfg.ActionCount)*l.dims.PredictFlops() + l.dims.SeqTrainFlops()
+	default:
+		work = float64(l.cfg.ActionCount) * l.dims.PredictFlops()
 	}
-	a.theta1 = theta1
-	a.theta2 = theta2
-	return nil
+	c.Add(p, work)
+	return timing.CortexA9PyTorch.Seconds(p, 1, work)
 }
 
-// ExploreProb returns the current per-step random-action probability.
-func (a *Agent) ExploreProb() float64 { return a.exploreProb }
+func (l *FloatLearner) SetObserver(*obs.Emitter) {}
+
+func (l *FloatLearner) Flush() {}

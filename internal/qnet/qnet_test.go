@@ -16,6 +16,13 @@ func cfgFor(v Variant) Config {
 	return c
 }
 
+// qValues reads the training agent's Q(s, ·) under θ1, or θ2 with target.
+func qValues(a *Agent, state []float64, target bool) []float64 {
+	q := make([]float64, a.cfg.ActionCount)
+	a.f.QValues(q, state, target)
+	return q
+}
+
 func TestVariantNames(t *testing.T) {
 	want := map[Variant]string{
 		VariantELM:              "ELM",
@@ -317,7 +324,7 @@ func TestSelectActionCountsPredictions(t *testing.T) {
 	if got := a.Counters().Calls(timing.PhasePredictInit); got != 1 {
 		t.Errorf("predict_init calls = %d, want one batched evaluation", got)
 	}
-	if w := a.Counters().Work(timing.PhasePredictInit); w != 2*a.dims.PredictFlops() {
+	if w := a.Counters().Work(timing.PhasePredictInit); w != 2*a.f.dims.PredictFlops() {
 		t.Errorf("predict_init work = %v, want ActionCount x PredictFlops", w)
 	}
 	if a.Counters().Calls(timing.PhasePredictSeq) != 0 {
@@ -346,8 +353,8 @@ func TestGreedyActionPrefersHigherQ(t *testing.T) {
 	if !a.Trained() {
 		t.Fatal("should be trained")
 	}
-	q0 := a.qValue(a.Theta1(), state, 0)
-	q1 := a.qValue(a.Theta1(), state, 1)
+	q0 := qValues(a, state, false)[0]
+	q1 := qValues(a, state, false)[1]
 	if q1 <= q0 {
 		t.Fatalf("q1=%v should exceed q0=%v after training", q1, q0)
 	}

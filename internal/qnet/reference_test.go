@@ -62,8 +62,8 @@ func refAgent(i int) *Agent {
 	cfg.Seed = uint64(i + 1)
 	a := MustNew(cfg)
 	r := rng.New(uint64(100 + i))
-	r.FillUniform(a.theta1.Beta.RawData(), -1, 1)
-	r.FillUniform(a.theta2.Beta.RawData(), -1, 1)
+	r.FillUniform(a.f.theta1.Beta.RawData(), -1, 1)
+	r.FillUniform(a.f.theta2.Beta.RawData(), -1, 1)
 	refAgents[i] = a
 	return a
 }
@@ -112,7 +112,7 @@ func sameBits(a, b float64) bool {
 func checkReference(t *testing.T, a *Agent, states [][]float64) {
 	t.Helper()
 	cfg := a.cfg
-	m := a.theta1
+	m := a.f.theta1
 	ev := a.NewEvaluator()
 	qm, err := ev.QValuesBatch(states)
 	if err != nil {
@@ -153,7 +153,7 @@ func checkReference(t *testing.T, a *Agent, states [][]float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agentQs := append([]float64(nil), a.qValues(m, s)...)
+		agentQs := qValues(a, s, false)
 		for act, w := range want {
 			for _, got := range []struct {
 				path string
@@ -161,8 +161,7 @@ func checkReference(t *testing.T, a *Agent, states [][]float64) {
 			}{
 				{"QValues", qs[act]},
 				{"QValuesBatch", batch[i*cfg.ActionCount+act]},
-				{"Agent.qValues", agentQs[act]},
-				{"Agent.qValue", a.qValue(m, s, act)},
+				{"FloatLearner.QValues", agentQs[act]},
 			} {
 				if !sameBits(got.q, w) {
 					t.Fatalf("state %v action %d: %s = %v (%#x), reference %v (%#x)",
@@ -170,7 +169,7 @@ func checkReference(t *testing.T, a *Agent, states [][]float64) {
 				}
 			}
 		}
-		if best, _ := a.maxQ(m, s); !sameBits(best, wantBest) {
+		if best, _ := a.maxQ(s, false); !sameBits(best, wantBest) {
 			t.Fatalf("state %v: greedy max %v, reference %v", s, best, wantBest)
 		}
 	}
