@@ -204,6 +204,18 @@ func (l *learner) QValues(q, state []float64, target bool) {
 	}
 }
 
+// PeekQValues is QValues under θ1 through PredictSilent, invisible to the
+// cycle model, the accounting and the profile.
+func (l *learner) PeekQValues(q, state []float64) {
+	if !l.loaded {
+		l.cpu.QValues(q, state, false)
+		return
+	}
+	for act := range q {
+		q[act] = l.q.Float(l.core.PredictSilent(l.encode(state, act))[0])
+	}
+}
+
 // InitTrain runs the CPU-side ReOS-ELM initial training (Eq. 8) and
 // DMA-loads the quantized parameters into the core.
 func (l *learner) InitTrain(trans []replay.Transition, y []float64) error {

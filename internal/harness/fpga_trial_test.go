@@ -86,3 +86,24 @@ func TestFPGASigmaRunawayWatchdog(t *testing.T) {
 		t.Fatal("no theta2_sync events")
 	}
 }
+
+// TestFPGAGreedyEvaluationIsUncharged: greedy evaluation reads the core
+// off the cost model, so after EvaluateGreedy the core's cycles still
+// equal the programmable logic's charged work.
+func TestFPGAGreedyEvaluationIsUncharged(t *testing.T) {
+	agent, err := NewAgentQ(DesignFPGA, 4, 2, 16, 7, fixed.QFormat{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := Config{MaxEpisodes: 30, SolveWindow: 100, SolveThreshold: 195, ScoreIsSteps: true}
+	res := Run(agent, env.NewShaped(env.NewCartPoleV0(7), env.RewardSurvival), rc)
+	fa := agent.(*fpga.Agent)
+	pl := res.Counters.Work(timing.PhaseSeqTrain) + res.Counters.Work(timing.PhasePredictSeq)
+	if pl == 0 {
+		t.Fatal("no programmable-logic work charged: the run never reached the sequential regime")
+	}
+	EvaluateGreedy(fa, env.NewCartPoleV0(8), 3, true)
+	if cycles := fa.Core().Cycles(); float64(cycles) != pl {
+		t.Errorf("core cycles %d after greedy evaluation, PL counter work %v", cycles, pl)
+	}
+}

@@ -27,6 +27,10 @@ type Learner interface {
 	// QValues writes Q(state, a) for every action into q, under θ1, or
 	// under θ2 when target is set.
 	QValues(q, state []float64, target bool)
+	// PeekQValues writes θ1's Q values like QValues, off the cost model:
+	// greedy evaluation, which no phase is charged for, must not move
+	// the learner's cost meter either.
+	PeekQValues(q, state []float64)
 	// InitTrain fits θ1 to buffer D's transitions and their targets y (for
 	// batch ELM, every refill of D; it also sets θ2 ← θ1).
 	InitTrain(trans []replay.Transition, y []float64) error
@@ -149,6 +153,11 @@ func (d *Driver) ExploreProb() float64 { return d.exploreProb }
 // values are 0, so a deterministic argmax would freeze on action 0).
 func (d *Driver) maxQ(state []float64, target bool) (best float64, argmax int) {
 	d.l.QValues(d.qs, state, target)
+	return d.bestQ()
+}
+
+// bestQ is maxQ over the Q values already in d.qs.
+func (d *Driver) bestQ() (best float64, argmax int) {
 	best = math.Inf(-1)
 	ties := 0
 	for act, q := range d.qs {
@@ -194,9 +203,11 @@ func (d *Driver) SelectAction(state []float64) int {
 	return act
 }
 
-// GreedyAction returns argmax_a Q(s,a) without exploration (evaluation).
+// GreedyAction returns argmax_a Q(s,a) without exploration (evaluation),
+// read off the cost model.
 func (d *Driver) GreedyAction(state []float64) int {
-	_, act := d.maxQ(state, false)
+	d.l.PeekQValues(d.qs, state)
+	_, act := d.bestQ()
 	return act
 }
 

@@ -334,6 +334,10 @@ func (l *FloatLearner) QValues(q, state []float64, target bool) {
 	qValuesInto(q, l.hid, &l.cfg, m, state)
 }
 
+// PeekQValues is QValues under θ1: the float learner's meter counts
+// charged phases only.
+func (l *FloatLearner) PeekQValues(q, state []float64) { l.QValues(q, state, false) }
+
 // encode writes the simplified-output-model input into dst: [state...,
 // action] with the action as a scalar by default (the paper's input size
 // for CartPole is 5 = 4 states + 1 action), or [state..., onehot(action)]

@@ -26,6 +26,14 @@
 // evaluated at once; the window only bounds waiting for requests already
 // in admission or decode.
 //
+// A request costs little beyond its evaluation. Predict and act paths are
+// dispatched from a table built at New. The canonical body
+// {"state":[n, …]} is scanned from a pooled buffer; any other body is
+// decoded by encoding/json over the same bytes, so every accepted body,
+// decoded value and 400 text is encoding/json's. The 200 answer and the
+// Server-Timing header are appended into buffers byte for byte as
+// encoding/json and %.4f write them.
+//
 // Endpoints (all JSON):
 //
 //	POST /v1/predict             {"state":[...]} → {"action":n,"q":[...],"generation":g}
@@ -43,6 +51,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"path"
 	"runtime"
 	"sort"
 	"strconv"
@@ -207,6 +216,7 @@ type Service struct {
 	tenants map[string]*Tenant // immutable after New
 	names   []string           // sorted tenant names
 	def     *Tenant            // tenant behind the unprefixed routes (may be nil)
+	routes  map[string]route   // exact clean predict/act paths; immutable after New
 	sem     chan struct{}      // worker slots
 	queue   chan struct{}      // bounded wait slots beyond the pool
 
@@ -295,7 +305,24 @@ func New(cfg Config) (*Service, error) {
 	if s.def != nil {
 		s.obs.SetGauge(GaugeGeneration, 1)
 	}
+	s.routes = map[string]route{"/v1/predict": {s.def, true}, "/v1/act": {s.def, false}}
+	for name, t := range s.tenants {
+		for op, includeQ := range map[string]bool{"predict": true, "act": false} {
+			// A tenant named "." or ".." makes an unclean path, which the
+			// mux redirects; leave those to it.
+			if p := "/v1/t/" + name + "/" + op; path.Clean(p) == p {
+				s.routes[p] = route{t, includeQ}
+			}
+		}
+	}
 	return s, nil
+}
+
+// route is one predict/act endpoint: its tenant, and whether the answer
+// carries the Q values.
+type route struct {
+	t        *Tenant
+	includeQ bool
 }
 
 // Close stops the per-tenant batch collectors, flushing anything already
@@ -375,9 +402,29 @@ func (s *Service) reloadTenant(t *Tenant) error {
 	return nil
 }
 
-// Handler returns the /v1 mux. Mount it on a dedicated server or on the
-// telemetry mux via export.WithRoute("/v1/", s.Handler()).
+// Handler returns the /v1 handler. Mount it on a dedicated server or on
+// the telemetry mux via export.WithRoute("/v1/", s.Handler()).
+//
+// A predict or act request whose path is exactly one of the routes built
+// at New is dispatched by one map lookup. Every other request goes to the
+// mux, which answers it as it always has. The mux matches an escaped path
+// (RawPath set) by its escaped form, redirects an unclean one and matches
+// a CONNECT path uncleaned, so none of those is looked up here.
 func (s *Service) Handler() http.Handler {
+	mux := s.mux()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.RawPath == "" && r.Method != http.MethodConnect {
+			if rt, ok := s.routes[r.URL.Path]; ok {
+				s.handleEval(w, r, rt.t, rt.includeQ)
+				return
+			}
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// mux routes every /v1 endpoint by its pattern.
+func (s *Service) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		s.handleEval(w, r, s.def, true)
@@ -433,34 +480,38 @@ type errorResponse struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
 // admit implements the bounded-pool backpressure: a free worker slot
 // admits immediately; otherwise the request takes a bounded queue slot
-// and waits for a worker until ctx expires; a full queue sheds at once.
-// On ok the caller must invoke release exactly once; timedOut
-// distinguishes a queue-wait expiry from an immediate full-queue shed.
-func (s *Service) admit(ctx context.Context) (release func(), ok, timedOut bool) {
-	release = func() { <-s.sem }
+// and waits for a worker until start+Timeout or until ctx ends; a full
+// queue sheds at once. On ok the caller holds a worker slot and must free
+// it (<-s.sem) exactly once; timedOut distinguishes a queue-wait expiry
+// from an immediate full-queue shed.
+func (s *Service) admit(ctx context.Context, start time.Time) (ok, timedOut bool) {
 	select {
 	case s.sem <- struct{}{}:
-		return release, true, false
+		return true, false
 	default:
 	}
 	select {
 	case s.queue <- struct{}{}:
 		defer func() { <-s.queue }()
+		// Only the queue wait reads the deadline, so only a request that
+		// queues pays for the timer.
+		ctx, cancel := context.WithDeadline(ctx, start.Add(s.cfg.Timeout))
+		defer cancel()
 		select {
 		case s.sem <- struct{}{}:
-			return release, true, false
+			return true, false
 		case <-ctx.Done():
-			return nil, false, true
+			return false, true
 		}
 	default:
-		return nil, false, false
+		return false, false
 	}
 }
 
@@ -545,7 +596,7 @@ func msSince(t time.Time) float64 {
 // access logging) will use one. With everything off and no incoming
 // header, the request stays untraced at the cost of one header lookup.
 func (s *Service) beginRequest(r *http.Request, rq *request) {
-	if h := r.Header.Get("traceparent"); h != "" {
+	if h := r.Header.Get("Traceparent"); h != "" { // canonical: Get does not rebuild the key
 		if tc, ok := parseTraceparent(h); ok {
 			rq.tc, rq.traced = tc, true
 		}
@@ -616,11 +667,20 @@ func setTimingHeaders(w http.ResponseWriter, rq *request) {
 	if rq.traced {
 		h.Set("X-Trace-Id", rq.tc.traceIDHex())
 	}
+	var buf [64]byte
+	h.Set("Server-Timing", string(appendServerTiming(buf[:0], rq)))
+}
+
+// appendServerTiming appends the Server-Timing value,
+// "queue;dur=%.4f[, eval;dur=%.4f]".
+func appendServerTiming(b []byte, rq *request) []byte {
+	b = append(b, "queue;dur="...)
+	b = appendFixed4(b, rq.queueMS)
 	if rq.evaluated {
-		h.Set("Server-Timing", fmt.Sprintf("queue;dur=%.4f, eval;dur=%.4f", rq.queueMS, rq.evalMS))
-	} else {
-		h.Set("Server-Timing", fmt.Sprintf("queue;dur=%.4f", rq.queueMS))
+		b = append(b, ", eval;dur="...)
+		b = appendFixed4(b, rq.evalMS)
 	}
+	return b
 }
 
 func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, includeQ bool) {
@@ -656,10 +716,8 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
 	qSpan := s.span(&rq, SpanQueue)
-	release, ok, timedOut := s.admit(ctx)
+	ok, timedOut := s.admit(r.Context(), rq.start)
 	qSpan.End()
 	rq.queueMS = msSince(rq.start)
 	if !ok {
@@ -679,17 +737,17 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		s.finishRequest(&rq)
 		return
 	}
-	released := false
-	releaseOnce := func() {
-		if !released {
-			released = true
-			release()
+	held := true // the worker slot; the batched path frees it while parked
+	rb := reqBufs.Get().(*reqBuf)
+	defer func() {
+		if held {
+			<-s.sem
 		}
-	}
-	defer releaseOnce()
+		reqBufs.Put(rb)
+	}()
 
-	var req evalRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	state, err := rb.decodeState(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		t.batch.leave()
 		s.obs.Inc(MetricErrors, 1)
 		s.obs.Inc(t.mErr, 1)
@@ -712,7 +770,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		// this request's arrival); the reply carries the batch size and a
 		// Q copy. A closed collector (drain) falls back to inline
 		// evaluation so the request is never dropped.
-		it := &batchItem{state: req.State, includeQ: includeQ, out: make(chan batchOut, 1)}
+		it := &batchItem{state: state, includeQ: includeQ, out: make(chan batchOut, 1)}
 		var bo batchOut
 		answered := false
 		if t.batch.submit(it) {
@@ -720,11 +778,12 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 			// peer requests can join the same batch (otherwise a small -pool
 			// would cap every batch at the pool size). Eval concurrency is
 			// bounded by the per-tenant collector and the evaluator pool.
-			releaseOnce()
+			held = false
+			<-s.sem
 			bo, answered = t.batch.await(it)
 		}
 		if !answered {
-			bo = t.evalInline(req.State, includeQ)
+			bo = t.evalInline(state, includeQ)
 		}
 		rq.generation, rq.batch = bo.generation, bo.size
 		resp = evalResponse{Action: bo.action, Q: bo.q, Generation: bo.generation}
@@ -732,7 +791,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		eSpan.End()
 		rq.evalMS, rq.evaluated = msSince(evalStart), true
 		if evalErr == nil {
-			s.writeEvalOK(w, &rq, t, resp)
+			s.writeEvalOK(w, &rq, t, rb, resp)
 			return
 		}
 	} else {
@@ -743,7 +802,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		p := t.policy.Load()
 		rq.generation, rq.batch = p.generation, 1
 		ev := p.acquire()
-		qs, err := ev.QValues(req.State)
+		qs, err := ev.QValues(state)
 		eSpan.End()
 		rq.evalMS, rq.evaluated = msSince(evalStart), true
 		s.noteEvalMS(rq.evalMS)
@@ -757,7 +816,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 			if includeQ {
 				resp.Q = qs // evaluator-owned; marshalled before release below
 			}
-			s.writeEvalOK(w, &rq, t, resp)
+			s.writeEvalOK(w, &rq, t, rb, resp)
 			p.release(ev)
 			return
 		}
@@ -778,10 +837,10 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 
 // writeEvalOK encodes the 200 response and closes out the request
 // bookkeeping shared by the batched and per-request paths.
-func (s *Service) writeEvalOK(w http.ResponseWriter, rq *request, t *Tenant, resp evalResponse) {
+func (s *Service) writeEvalOK(w http.ResponseWriter, rq *request, t *Tenant, rb *reqBuf, resp evalResponse) {
 	encSpan := s.span(rq, SpanEncode)
 	setTimingHeaders(w, rq)
-	writeJSON(w, http.StatusOK, resp)
+	writeEval(w, rb, resp)
 	encSpan.End()
 	s.obs.Inc(MetricOK, 1)
 	s.obs.Inc(t.mOK, 1)

@@ -21,7 +21,7 @@ import (
 )
 
 // makeAgent builds a briefly trained agent (4-dim state, 2 actions).
-func makeAgent(t *testing.T, hidden int, seed uint64) *qnet.Agent {
+func makeAgent(t testing.TB, hidden int, seed uint64) *qnet.Agent {
 	t.Helper()
 	cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, hidden)
 	cfg.Seed = seed
@@ -42,7 +42,7 @@ func makeAgent(t *testing.T, hidden int, seed uint64) *qnet.Agent {
 }
 
 // writeCheckpoint atomically writes an agent snapshot.
-func writeCheckpoint(t *testing.T, path string, a *qnet.Agent) {
+func writeCheckpoint(t testing.TB, path string, a *qnet.Agent) {
 	t.Helper()
 	if err := persist.SaveAgentFile(path, a); err != nil {
 		t.Fatal(err)
